@@ -15,8 +15,11 @@ demonstrates the record-count scaling explicitly.
 from __future__ import annotations
 
 import json
+import os
+import platform
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.collection import collect_via_simulator
@@ -38,11 +41,27 @@ def emit(name: str, text: str) -> None:
     print(f"\n=== {name} ===\n{text}")
 
 
+def bench_env() -> dict:
+    """What a result depends on besides the code."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "nproc": os.cpu_count(),
+    }
+
+
 def emit_json(name: str, payload: dict) -> None:
-    """Persist machine-readable benchmark results under results/."""
+    """Persist machine-readable benchmark results under results/.
+
+    Every file carries an ``env`` block (:func:`bench_env`), so a
+    number can be compared only with one taken on a like host.
+    """
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        json.dumps({**payload, "env": bench_env()}, indent=2, sort_keys=True)
+        + "\n"
     )
 
 

@@ -9,8 +9,9 @@ the trainer stays fixed — the loop must scale in the data plane, not
 the model.
 
 Acceptance: the loop promotes at both scales, and the 10x fleet costs
-well under 10x wall-clock per round (the per-vehicle work is flush
-encoding, not training).
+under 5x wall-clock per round.  The per-vehicle work is sampling each
+flush's records and moving its shard through the store (one encode per
+flush, one decode at ingest); training stays the same size.
 """
 
 from repro.fleet import FleetConfig, FleetLoop
@@ -62,12 +63,7 @@ def test_fleet_scale(benchmark):
     lines = [header]
     records = {}
     for n_vehicles, (summary, wall_s) in sorted(points.items()):
-        latencies = [
-            r.promotion_latency_s
-            for r in summary.rounds
-            if r.promotion_latency_s is not None
-        ]
-        mean_latency = sum(latencies) / len(latencies) if latencies else 0.0
+        mean_latency = summary.mean_promotion_latency_s
         rounds_per_s = ROUNDS / wall_s
         lines.append(
             f"{n_vehicles:9d} {rounds_per_s:9.3f} "
@@ -100,8 +96,8 @@ def test_fleet_scale(benchmark):
 
     # Acceptance: both scales complete every round and end promoted past
     # the bootstrap checkpoint; the capped trainer keeps the 10x fleet
-    # well under 10x wall-clock.
+    # under 5x wall-clock.
     for n_vehicles, (summary, _) in points.items():
         assert len(summary.rounds) == ROUNDS, n_vehicles
         assert summary.final_stable >= 2, n_vehicles
-    assert scaling < 10.0
+    assert scaling < 5.0

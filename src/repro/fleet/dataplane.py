@@ -7,7 +7,9 @@ the ``fleet-raw`` object-store container on scheduler events spread
 across the collection window.  The cloud-side :class:`IngestStage` then
 scans the raw container, validates + cleans each new shard (non-finite
 labels dropped, commands clipped to the actuator range), and writes the
-result to ``fleet-clean`` — the accumulating training set.
+result to ``fleet-clean`` — the accumulating training set.  A shard that
+cleaning leaves unchanged is stored as the raw payload itself, so each
+flush is encoded exactly once.
 
 Both sides tolerate the fault layer: a flush or ingest hitting an
 injected store error (directly or after retries) is counted and
@@ -29,7 +31,12 @@ from repro.common.errors import (
     RetryExhaustedError,
 )
 from repro.common.rng import ensure_rng, seed_from_name
-from repro.fleet.shards import decode_shard, encode_shard
+from repro.fleet.shards import (
+    SHARD_CONTENT_TYPE,
+    SHARD_SUFFIX,
+    decode_shard,
+    encode_shard,
+)
 from repro.fleet.world import SyntheticTrackWorld
 from repro.objectstore.store import ObjectStore
 from repro.obs.metrics import MetricsRegistry
@@ -191,12 +198,12 @@ class FleetDataPlane:
             frames, labels = self.world.sample(
                 self._rngs[vehicle], self.records_per_flush, poisoned=poisoned
             )
-            name = f"r{round_no:03d}-{vehicle}-f{flush:02d}.npz"
+            name = f"r{round_no:03d}-{vehicle}-f{flush:02d}{SHARD_SUFFIX}"
             try:
                 self.raw.put(
                     name,
                     encode_shard(frames, labels),
-                    content_type="application/x-npz",
+                    content_type=SHARD_CONTENT_TYPE,
                     metadata={"vehicle": vehicle, "round": str(round_no)},
                 )
             except _STORE_FAILURES:
@@ -249,17 +256,19 @@ class IngestStage:
                     self._processed.add(name)
                     skipped += 1
                     continue
-                frames, labels, removed = self._clean(frames, labels)
-                dropped += removed
+                cleaned = self._clean(frames, labels)
+                if cleaned is not None:
+                    frames, labels, removed = cleaned
+                    dropped += removed
                 if frames.shape[0] == 0:
                     self._processed.add(name)
                     skipped += 1
                     continue
+                if cleaned is not None:
+                    payload = encode_shard(frames, labels)
                 try:
                     self.clean.put(
-                        name,
-                        encode_shard(frames, labels),
-                        content_type="application/x-npz",
+                        name, payload, content_type=SHARD_CONTENT_TYPE
                     )
                 except _STORE_FAILURES:
                     failed += 1
@@ -281,9 +290,15 @@ class IngestStage:
     @staticmethod
     def _clean(
         frames: np.ndarray, labels: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, int]:
-        """Drop non-finite rows; clip commands to the actuator range."""
+    ) -> tuple[np.ndarray, np.ndarray, int] | None:
+        """Drop non-finite rows; clip commands to the actuator range.
+
+        Returns ``None`` when neither step would change the shard: no
+        row is dropped and every label already lies in ``[-1, 1]``.
+        """
         finite = np.all(np.isfinite(labels), axis=1)
+        if finite.all() and np.all(np.abs(labels) <= 1.0):
+            return None
         removed = int(labels.shape[0] - finite.sum())
         frames = frames[finite]
         labels = np.clip(labels[finite], -1.0, 1.0)

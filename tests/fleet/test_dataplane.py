@@ -14,7 +14,8 @@ from repro.fleet.dataplane import (
     FleetDataPlane,
     IngestStage,
 )
-from repro.fleet.shards import decode_shard, encode_shard
+from repro.fleet import dataplane
+from repro.fleet.shards import SHARD_CONTENT_TYPE, decode_shard, encode_shard
 from repro.fleet.world import SyntheticTrackWorld
 from repro.objectstore.store import ObjectStore
 
@@ -100,18 +101,56 @@ class TestIngest:
         labels = np.array(
             [[0.2, 0.5], [np.nan, 0.5], [1.7, -2.0]], dtype=np.float32
         )
-        raw.put("r001-veh-0000-f00.npz", encode_shard(frames, labels))
+        raw.put("r001-veh-0000-f00.shard", encode_shard(frames, labels))
         report = IngestStage(store).run(1)
         assert report.fresh_records == 2
         assert report.dropped_records == 1
         cleaned = store.container(CLEAN_CONTAINER)
-        _, out = decode_shard(cleaned.get("r001-veh-0000-f00.npz").data)
+        _, out = decode_shard(cleaned.get("r001-veh-0000-f00.shard").data)
         assert np.all(np.abs(out) <= 1.0)
+
+    def test_clip_only_shard_is_reencoded_clipped(self):
+        """Every label finite, one out of range: nothing dropped, still cleaned."""
+        store = ObjectStore()
+        raw = store.create_container(RAW_CONTAINER)
+        frames = np.zeros((2, 8, 8, 3), dtype=np.uint8)
+        labels = np.array([[0.2, 0.5], [1.7, 0.5]], dtype=np.float32)
+        raw.put("r001-veh-0000-f00.shard", encode_shard(frames, labels))
+        report = IngestStage(store).run(1)
+        assert report.fresh_records == 2
+        assert report.dropped_records == 0
+        cleaned = store.container(CLEAN_CONTAINER).get("r001-veh-0000-f00.shard")
+        assert cleaned.data != raw.get("r001-veh-0000-f00.shard").data
+        _, out = decode_shard(cleaned.data)
+        assert np.array_equal(
+            out, np.array([[0.2, 0.5], [1.0, 0.5]], dtype=np.float32)
+        )
+
+    def test_clean_shard_passes_through_encoded_once(self, monkeypatch):
+        calls = []
+
+        def counting_encode(frames, labels):
+            calls.append(len(frames))
+            return encode_shard(frames, labels)
+
+        monkeypatch.setattr(dataplane, "encode_shard", counting_encode)
+        plane, store, _ = make_plane()
+        collect = plane.collect_round(1, window_s=2.0)
+        report = IngestStage(store).run(1)
+        assert report.fresh_shards == collect.flushed_shards == 6
+        assert len(calls) == collect.flushed_shards
+        raw = store.container(RAW_CONTAINER)
+        clean = store.container(CLEAN_CONTAINER)
+        assert clean.list() == raw.list()
+        for name in raw.list():
+            assert clean.get(name).data == raw.get(name).data
+            assert clean.get(name).etag == raw.get(name).etag
+            assert clean.get(name).content_type == SHARD_CONTENT_TYPE
 
     def test_corrupt_shard_skipped(self):
         store = ObjectStore()
         raw = store.create_container(RAW_CONTAINER)
-        raw.put("bad.npz", b"garbage")
+        raw.put("bad.shard", b"garbage")
         report = IngestStage(store).run(1)
         assert report.skipped_objects == 1
         assert report.fresh_shards == 0
