@@ -74,11 +74,8 @@ class PurePursuitDriver:
 
     def speed_target(self, s_now: float, horizon: float = 1.2) -> float:
         """Curvature-limited speed over the next ``horizon`` metres."""
-        curvatures = [
-            abs(self.track.curvature_at(s_now + d))
-            for d in np.linspace(0.0, horizon, 4)
-        ]
-        kappa = max(max(curvatures), 1e-6)
+        ahead = s_now + np.linspace(0.0, horizon, 4)
+        kappa = max(float(np.abs(self.track.curvature_at(ahead)).max()), 1e-6)
         v_curve = np.sqrt(self.lateral_accel_limit / kappa)
         return float(min(self.target_speed, v_curve))
 
@@ -89,10 +86,7 @@ class PurePursuitDriver:
     def __call__(
         self, image: np.ndarray, cte: float, speed: float
     ) -> tuple[float, float]:
-        query = self.track.query(
-            np.array([[self.session.state.x, self.session.state.y]])
-        )
-        s_now = float(query.arclength[0])
+        s_now = float(self.session.pose_query().arclength[0])
         steering = self.steer_to(s_now)
         throttle = self.throttle_to(self.speed_target(s_now), speed)
         return steering, throttle

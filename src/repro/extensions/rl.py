@@ -51,7 +51,7 @@ class LinearPolicy:
         session = server.session
         state = session.state
         track = session.track
-        query = track.query(np.array([[state.x, state.y]]))
+        query = session.pose_query()
         s_now = float(query.arclength[0])
         cte = float(query.signed_cte[0])
         target = track.point_at(s_now + 0.6)

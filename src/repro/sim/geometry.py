@@ -3,11 +3,16 @@
 All functions operate on numpy arrays of shape ``(N, 2)`` and avoid
 Python-level loops over points (per the HPC guides: broadcastable
 segment math, views over copies).  These primitives back
-:mod:`repro.sim.tracks` (track construction) and the renderer's
-point-classification hot path.
+:mod:`repro.sim.tracks`: track construction, and the centreline
+projection behind every :meth:`~repro.sim.tracks.Track.query`.  A
+caller that projects onto one polyline many times builds its
+:class:`SegmentTable` once.  The renderer classifies pixels with
+:class:`~repro.sim.renderer.TrackField`'s KD-tree instead.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,6 +23,9 @@ __all__ = [
     "resample_closed",
     "normals_closed",
     "offset_closed",
+    "SegmentTable",
+    "segment_table",
+    "read_only",
     "project_points",
     "point_in_closed_polyline",
 ]
@@ -103,9 +111,50 @@ def offset_closed(points: np.ndarray, distance: float) -> np.ndarray:
     return pts + distance * normals_closed(pts)
 
 
+@dataclass(frozen=True)
+class SegmentTable:
+    """Per-segment geometry of a closed polyline, computed once.
+
+    Row ``i`` describes the segment from vertex ``i`` to vertex
+    ``i + 1`` (the last one wraps to vertex 0).  Every array is a
+    read-only copy, so no later edit, of the table or of the polyline it
+    was built from, can put its rows out of step with each other.
+    """
+
+    starts: np.ndarray  # (S, 2) start vertices
+    vectors: np.ndarray  # (S, 2) end - start
+    length2: np.ndarray  # (S,) squared lengths, 1.0 for zero-length segments
+    s_vertices: np.ndarray  # (S,) arclength of each start vertex
+    lengths: np.ndarray  # (S,) segment lengths
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+
+def read_only(array: np.ndarray) -> np.ndarray:
+    """Mark ``array`` read-only in place and return it."""
+    array.setflags(write=False)
+    return array
+
+
+def segment_table(polyline: np.ndarray) -> SegmentTable:
+    """The :class:`SegmentTable` of an ``(S, 2)`` closed polyline."""
+    poly = _as_points(polyline)
+    vectors = np.roll(poly, -1, axis=0) - poly
+    length2 = np.einsum("ij,ij->i", vectors, vectors)
+    length2[length2 == 0] = 1.0
+    return SegmentTable(
+        starts=read_only(poly.copy()),
+        vectors=read_only(vectors),
+        length2=read_only(length2),
+        s_vertices=read_only(cumulative_arclength(poly, closed=True)),
+        lengths=read_only(polyline_lengths(poly, closed=True)),
+    )
+
+
 def project_points(
     query: np.ndarray,
-    polyline: np.ndarray,
+    polyline: np.ndarray | SegmentTable,
     segment_mask: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Project query points onto a closed polyline.
@@ -115,11 +164,11 @@ def project_points(
     query:
         ``(P, 2)`` points to project.
     polyline:
-        ``(S, 2)`` closed polyline vertices.
+        ``(S, 2)`` closed polyline vertices, or their
+        :class:`SegmentTable` (a raw polyline is converted to one first).
     segment_mask:
         Optional boolean ``(S,)`` mask restricting which segments are
-        considered (renderer culling).  At least one segment must be
-        enabled.
+        considered.  At least one segment must be enabled.
 
     Returns
     -------
@@ -135,24 +184,18 @@ def project_points(
         with the distance this gives a signed cross-track error.
     """
     pts = np.atleast_2d(np.asarray(query, dtype=np.float64))
-    poly = _as_points(polyline)
-    starts = poly
-    ends = np.roll(poly, -1, axis=0)
+    table = polyline if isinstance(polyline, SegmentTable) else segment_table(polyline)
+    starts, seg_vec, seg_len2 = table.starts, table.vectors, table.length2
     if segment_mask is not None:
         mask = np.asarray(segment_mask, dtype=bool)
-        if mask.shape != (len(poly),):
-            raise ValueError(f"segment_mask shape {mask.shape} != ({len(poly)},)")
+        if mask.shape != (len(table),):
+            raise ValueError(f"segment_mask shape {mask.shape} != ({len(table)},)")
         if not mask.any():
             raise ValueError("segment_mask disables every segment")
         idx_map = np.flatnonzero(mask)
-        starts = starts[idx_map]
-        ends = ends[idx_map]
-    else:
-        idx_map = np.arange(len(poly))
-
-    seg_vec = ends - starts                                  # (S', 2)
-    seg_len2 = np.einsum("ij,ij->i", seg_vec, seg_vec)       # (S',)
-    seg_len2[seg_len2 == 0] = 1.0
+        starts = starts[idx_map]                             # (S', 2)
+        seg_vec = seg_vec[idx_map]
+        seg_len2 = seg_len2[idx_map]
 
     # (P, S', 2) displacement from each segment start to each point.
     disp = pts[:, None, :] - starts[None, :, :]
@@ -166,10 +209,8 @@ def project_points(
     rows = np.arange(len(pts))
     distances = np.sqrt(dist2[rows, best])
 
-    s_vertices = cumulative_arclength(poly, closed=True)
-    seg_lengths = polyline_lengths(poly, closed=True)
-    seg_idx = idx_map[best]
-    arclengths = s_vertices[seg_idx] + t[rows, best] * seg_lengths[seg_idx]
+    seg_idx = best if segment_mask is None else idx_map[best]
+    arclengths = table.s_vertices[seg_idx] + t[rows, best] * table.lengths[seg_idx]
 
     # Cross product of segment direction with point displacement gives
     # the side: positive = left of travel.

@@ -38,7 +38,17 @@ from repro.common.units import (
 )
 from repro.sim.tracks import Track
 
-__all__ = ["CameraParams", "Palette", "TrackField", "CameraRenderer", "PALETTES"]
+__all__ = [
+    "CameraParams",
+    "Palette",
+    "TrackField",
+    "CameraRenderer",
+    "PALETTES",
+    "RENDERER_MODES",
+]
+
+#: Projections :class:`CameraRenderer` can draw.
+RENDERER_MODES = ("perspective", "topdown")
 
 
 @dataclass(frozen=True)
@@ -145,7 +155,7 @@ class CameraRenderer:
         mode: str = "perspective",
         field_spacing: float = 0.004,
     ) -> None:
-        if mode not in ("perspective", "topdown"):
+        if mode not in RENDERER_MODES:
             raise SimulationError(f"unknown renderer mode: {mode!r}")
         self.track = track
         self.params = params or CameraParams()

@@ -12,6 +12,7 @@ qualities of interest (speed, number of errors, etc.)", §3.3).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -19,8 +20,8 @@ from repro.common.errors import OffTrackError, SimulationError
 from repro.common.rng import ensure_rng
 from repro.common.units import DONKEYCAR_LOOP_HZ
 from repro.sim.dynamics import BicycleModel, CarParams, CarState, PIRACER_PARAMS
-from repro.sim.renderer import CameraParams, CameraRenderer
-from repro.sim.tracks import Track
+from repro.sim.renderer import RENDERER_MODES, CameraParams, CameraRenderer
+from repro.sim.tracks import Track, TrackQuery
 
 __all__ = ["Observation", "LapStats", "DrivingSession"]
 
@@ -96,7 +97,7 @@ class DrivingSession:
         Seeds the camera sensor noise stream.
     render:
         If False, observations carry a zero image (fast mode for
-        physics-only experiments).
+        physics-only experiments) and no camera renderer is built.
     """
 
     def __init__(
@@ -112,18 +113,30 @@ class DrivingSession:
     ) -> None:
         if dt <= 0:
             raise SimulationError(f"dt must be positive, got {dt}")
+        if renderer_mode not in RENDERER_MODES:
+            raise SimulationError(f"unknown renderer mode: {renderer_mode!r}")
         self.track = track
         self.model = BicycleModel(car_params)
         self.dt = float(dt)
         self.strict = strict
         self.render_enabled = render
-        self.renderer = CameraRenderer(track, camera, mode=renderer_mode)
+        self._camera = camera or CameraParams()
+        self._renderer_mode = renderer_mode
         self._rng = ensure_rng(seed)
         self._blank = np.zeros(
-            (self.renderer.params.height, self.renderer.params.width, 3),
-            dtype=np.uint8,
+            (self._camera.height, self._camera.width, 3), dtype=np.uint8
         )
+        self._queried_state: CarState | None = None
+        self._query: TrackQuery | None = None
         self.reset()
+
+    @cached_property
+    def renderer(self) -> CameraRenderer:
+        """The camera renderer, built on first use.
+
+        A ``render=False`` session never builds one.
+        """
+        return CameraRenderer(self.track, self._camera, mode=self._renderer_mode)
 
     # ------------------------------------------------------- lifecycle
 
@@ -201,8 +214,21 @@ class DrivingSession:
 
     # --------------------------------------------------------- observe
 
+    def pose_query(self) -> TrackQuery:
+        """The track projection of the current pose, computed once per pose.
+
+        Keyed on the identity of the frozen :attr:`state`: every step
+        and respawn makes a new :class:`CarState`, and so does any
+        caller that moves the car, so a memoised query is never stale.
+        """
+        state = self.state
+        if state is not self._queried_state:
+            self._query = self.track.query(np.array([[state.x, state.y]]))
+            self._queried_state = state
+        return self._query
+
     def _observe(self) -> Observation:
-        query = self.track.query(np.array([[self.state.x, self.state.y]]))
+        query = self.pose_query()
         cte = float(query.signed_cte[0])
         arclength = float(query.arclength[0])
         if self.render_enabled:

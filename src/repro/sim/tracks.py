@@ -29,13 +29,13 @@ import numpy as np
 from repro.common.errors import TrackError
 from repro.common.units import inches_to_m, m_to_inches
 from repro.sim.geometry import (
-    cumulative_arclength,
     offset_closed,
     point_in_closed_polyline,
     polyline_length,
-    polyline_lengths,
     project_points,
+    read_only,
     resample_closed,
+    segment_table,
 )
 
 __all__ = [
@@ -88,6 +88,12 @@ class Track:
     The centreline must be counter-clockwise (enforced via the shoelace
     area); travel direction is along increasing vertex index.  All
     coordinates are metres.
+
+    The geometry tables every lookup reads are built once, here: the
+    closed ring that :meth:`point_at` interpolates and the
+    :class:`~repro.sim.geometry.SegmentTable` that :meth:`query`
+    projects onto.  The centreline and every table are read-only, so an
+    in-place edit raises instead of desynchronising them.
     """
 
     def __init__(
@@ -98,11 +104,11 @@ class Track:
         resolution: int = 400,
         metadata: dict[str, Any] | None = None,
     ) -> None:
-        pts = np.asarray(centerline, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
-            raise TrackError(f"centerline must be (N>=3, 2), got {pts.shape}")
-        if width <= 0:
-            raise TrackError(f"track width must be positive, got {width}")
+        pts = _closed_points(centerline, "centerline")
+        if not (np.isfinite(width) and width > 0):
+            raise TrackError(f"track width must be positive and finite, got {width}")
+        if resolution < 3:
+            raise TrackError(f"resolution must be >= 3, got {resolution}")
         area = _shoelace_area(pts)
         if area == 0:
             raise TrackError("degenerate centerline (zero enclosed area)")
@@ -110,10 +116,14 @@ class Track:
             pts = pts[::-1].copy()
         self.name = name
         self.width = float(width)
-        self.centerline = resample_closed(pts, resolution)
+        self.centerline = read_only(resample_closed(pts, resolution))
         self.metadata = dict(metadata or {})
-        self._s_vertices = cumulative_arclength(self.centerline, closed=True)
-        self._seg_lengths = polyline_lengths(self.centerline, closed=True)
+        self._segments = segment_table(self.centerline)
+        # The closed ring np.interp reads: vertex 0 again at s = length.
+        x, y = self.centerline.T
+        self._s_ring = read_only(np.append(self._segments.s_vertices, self.length))
+        self._x_ring = read_only(np.append(x, x[0]))
+        self._y_ring = read_only(np.append(y, y[0]))
         min_radius = self.minimum_radius()
         if min_radius <= self.half_width:
             raise TrackError(
@@ -131,17 +141,17 @@ class Track:
     @cached_property
     def length(self) -> float:
         """Centreline length (m)."""
-        return float(self._seg_lengths.sum())
+        return float(self._segments.lengths.sum())
 
     @cached_property
     def inner_line(self) -> np.ndarray:
         """Inner boundary polyline (left of CCW travel = inward)."""
-        return offset_closed(self.centerline, self.half_width)
+        return read_only(offset_closed(self.centerline, self.half_width))
 
     @cached_property
     def outer_line(self) -> np.ndarray:
         """Outer boundary polyline."""
-        return offset_closed(self.centerline, -self.half_width)
+        return read_only(offset_closed(self.centerline, -self.half_width))
 
     @cached_property
     def inner_length(self) -> float:
@@ -165,34 +175,52 @@ class Track:
 
     def point_at(self, s: float | np.ndarray) -> np.ndarray:
         """Centreline point(s) at arclength ``s`` (wraps modulo length)."""
-        s = np.asarray(s, dtype=np.float64) % self.length
-        ring = np.vstack([self.centerline, self.centerline[:1]])
-        s_ring = np.concatenate([self._s_vertices, [self.length]])
-        x = np.interp(s, s_ring, ring[:, 0])
-        y = np.interp(s, s_ring, ring[:, 1])
+        return self._interp(np.asarray(s, dtype=np.float64))
+
+    def _interp(self, s: np.ndarray) -> np.ndarray:
+        """The lookup behind :meth:`point_at`, for float64 arclengths."""
+        s = s % self.length
+        x = np.interp(s, self._s_ring, self._x_ring)
+        y = np.interp(s, self._s_ring, self._y_ring)
         return np.stack([x, y], axis=-1)
+
+    def _headings(self, s: np.ndarray) -> np.ndarray:
+        """Headings at a 1-D array of arclengths, from one interp pair.
+
+        Central differences: the points ``eps`` ahead of every sample,
+        then the points ``eps`` behind, interpolated together.
+        """
+        eps = self.length / (4 * len(self.centerline))
+        points = self._interp(np.concatenate([s + eps, s - eps]))
+        diff = points[: len(s)] - points[len(s) :]
+        return np.arctan2(diff[:, 1], diff[:, 0])
 
     def heading_at(self, s: float) -> float:
         """Travel heading (radians) at arclength ``s``."""
-        eps = self.length / (4 * len(self.centerline))
-        ahead = self.point_at(s + eps)
-        behind = self.point_at(s - eps)
-        diff = ahead - behind
-        return float(np.arctan2(diff[1], diff[0]))
+        return float(self._headings(np.array([s], dtype=np.float64))[0])
 
-    def curvature_at(self, s: float) -> float:
-        """Signed curvature (1/m) at arclength ``s`` (positive = left turn)."""
+    def curvature_at(self, s: float | np.ndarray) -> float | np.ndarray:
+        """Signed curvature (1/m) at arclength ``s`` (positive = left turn).
+
+        A float gives a float and an array an array of the same shape.
+        The heading difference across ``±eps`` needs four centreline
+        points per sample; all of them go through one interp pair.
+        """
+        samples = np.asarray(s, dtype=np.float64)
+        flat = samples.ravel()
         eps = max(self.length / len(self.centerline), 1e-3)
-        h0 = self.heading_at(s - eps)
-        h1 = self.heading_at(s + eps)
+        headings = self._headings(np.concatenate([flat - eps, flat + eps]))
+        h0, h1 = headings[: len(flat)], headings[len(flat) :]
         dh = np.arctan2(np.sin(h1 - h0), np.cos(h1 - h0))
-        return float(dh / (2 * eps))
+        curvature = dh / (2 * eps)
+        if samples.ndim == 0:
+            return float(curvature[0])
+        return curvature.reshape(samples.shape)
 
     def minimum_radius(self) -> float:
         """Smallest centreline turn radius (m)."""
         samples = np.linspace(0, self.length, len(self.centerline), endpoint=False)
-        curvatures = np.abs([self.curvature_at(float(s)) for s in samples])
-        max_curvature = float(curvatures.max())
+        max_curvature = float(np.abs(self.curvature_at(samples)).max())
         return np.inf if max_curvature == 0 else 1.0 / max_curvature
 
     def start_pose(self, lateral_offset: float = 0.0) -> tuple[float, float, float]:
@@ -219,7 +247,7 @@ class Track:
     ) -> TrackQuery:
         """Project world points onto the centreline (vectorised)."""
         distance, arclength, side = project_points(
-            points, self.centerline, segment_mask=segment_mask
+            points, self._segments, segment_mask=segment_mask
         )
         return TrackQuery(
             distance=distance,
@@ -235,9 +263,9 @@ class Track:
     def segments_near(self, xy: np.ndarray, radius: float) -> np.ndarray:
         """Boolean mask of centreline segments within ``radius`` of ``xy``.
 
-        Used by the renderer to cull the projection hot path: the camera
-        only ever sees a few metres of track, so most segments can be
-        skipped.  Falls back to all segments if nothing is near.
+        Pass it as :meth:`query`'s ``segment_mask`` to project onto the
+        nearby track only.  Falls back to all segments if nothing is
+        near.
         """
         xy = np.asarray(xy, dtype=np.float64)
         mids = 0.5 * (self.centerline + np.roll(self.centerline, -1, axis=0))
@@ -255,6 +283,16 @@ class Track:
             f"Track({self.name!r}, length={self.length:.2f} m, "
             f"width={self.width:.3f} m)"
         )
+
+
+def _closed_points(points: np.ndarray, what: str) -> np.ndarray:
+    """``points`` as a finite ``(N >= 3, 2)`` float array, else TrackError."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != 2 or len(pts) < 3:
+        raise TrackError(f"{what} must be (N>=3, 2), got {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise TrackError(f"{what} has non-finite coordinates")
+    return pts
 
 
 def _shoelace_area(points: np.ndarray) -> float:
@@ -379,7 +417,7 @@ def track_from_waypoints(
     corners enough to keep the bicycle model drivable.  Supports the
     paper's "modify the shape of the track" beginner assignment.
     """
-    pts = np.asarray(waypoints, dtype=np.float64)
+    pts = _closed_points(waypoints, "waypoints")
     n_dense = max(resolution, 4 * len(pts))
     dense = resample_closed(pts, n_dense)
     # Circular moving average; the window grows with the smoothing level

@@ -10,6 +10,7 @@ from repro.sim.geometry import (
     polyline_length,
     project_points,
     resample_closed,
+    segment_table,
 )
 
 
@@ -54,7 +55,36 @@ class TestResample:
         assert seg.std() <= 0.2 * seg.mean()
 
 
+@st.composite
+def segment_masks(draw, n):
+    """A boolean ``(n,)`` mask with at least one segment enabled."""
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    mask[draw(st.integers(0, n - 1))] = True
+    return mask
+
+
+def assert_same_projection(a, b):
+    for got, want in zip(a, b):
+        assert np.array_equal(got, want)
+
+
 class TestProjection:
+    @given(loop=convex_loops(), pts=query_points())
+    @settings(max_examples=40, deadline=None)
+    def test_table_equals_raw_polyline_bit_for_bit(self, loop, pts):
+        table = segment_table(loop)
+        assert_same_projection(project_points(pts, table), project_points(pts, loop))
+
+    @given(loop=convex_loops(), pts=query_points(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_table_equals_raw_polyline_under_mask(self, loop, pts, data):
+        mask = data.draw(segment_masks(len(loop)))
+        table = segment_table(loop)
+        assert_same_projection(
+            project_points(pts, table, segment_mask=mask),
+            project_points(pts, loop, segment_mask=mask),
+        )
+
     @given(loop=convex_loops(), pts=query_points())
     @settings(max_examples=40, deadline=None)
     def test_distance_nonnegative_and_arclength_in_range(self, loop, pts):

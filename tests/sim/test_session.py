@@ -4,6 +4,9 @@ import numpy as np
 import pytest
 
 from repro.common.errors import OffTrackError, SimulationError
+from repro.sim import session as session_module
+from repro.sim.dynamics import CarState
+from repro.sim.renderer import CameraParams
 from repro.sim.session import DrivingSession
 
 
@@ -118,6 +121,102 @@ class TestStats:
         session.reset()
         stats = session.run(lambda obs: (0.0, 0.4), steps=30)
         assert stats.steps == 30
+
+
+class TestPoseQuery:
+    """The memoised projection always equals a fresh ``track.query``."""
+
+    @staticmethod
+    def assert_fresh(session):
+        state = session.state
+        fresh = session.track.query(np.array([[state.x, state.y]]))
+        memo = session.pose_query()
+        for field in ("distance", "arclength", "side", "on_track"):
+            assert np.array_equal(getattr(memo, field), getattr(fresh, field))
+
+    def test_after_reset(self, session_factory):
+        session = session_factory(render=False)
+        session.reset(s=2.0, lateral_offset=0.1)
+        self.assert_fresh(session)
+
+    def test_after_step(self, session_factory):
+        session = session_factory(render=False)
+        session.reset()
+        session.step(0.2, 0.6)
+        self.assert_fresh(session)
+
+    def test_after_crash_respawn(self, session_factory):
+        session = session_factory(render=False)
+        session.reset()
+        for _ in range(300):
+            session.step(1.0, 0.8)
+            if session.stats.crashes:
+                break
+        assert session.stats.crashes
+        self.assert_fresh(session)
+        obs = session.step(0.0, 0.0)  # respawn on the centreline, then step
+        assert not obs.off_track
+        self.assert_fresh(session)
+
+    def test_after_state_reassigned_from_outside(self, session_factory, oval_track):
+        session = session_factory(render=False)
+        session.reset()
+        session.step(0.0, 0.5)
+        before = session.pose_query()
+        x, y, heading = oval_track.pose_at(oval_track.length / 2, 0.1)
+        session.state = CarState(x=x, y=y, heading=heading)
+        self.assert_fresh(session)
+        assert session.pose_query().arclength[0] != before.arclength[0]
+
+    def test_same_state_is_projected_once(self, session_factory, monkeypatch):
+        session = session_factory(render=False)
+        session.reset()
+        calls = []
+        real_query = session.track.query
+
+        def counting_query(points):
+            calls.append(points)
+            return real_query(points)
+
+        monkeypatch.setattr(session.track, "query", counting_query)
+        first = session.pose_query()
+        assert session.pose_query() is first
+        assert not calls  # reset already projected this pose
+        session.step(0.0, 0.5)
+        session.pose_query()
+        assert len(calls) == 1
+
+
+class TestLazyRenderer:
+    def test_render_false_never_builds_a_renderer(self, oval_track, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("CameraRenderer built for a render=False session")
+
+        monkeypatch.setattr(session_module, "CameraRenderer", forbidden)
+        camera = CameraParams(height=30, width=44)
+        session = DrivingSession(oval_track, camera=camera, render=False)
+        obs = session.step(0.0, 0.5)
+        # The blank frame still has the camera's shape.
+        assert obs.image.shape == (30, 44, 3)
+        assert not obs.image.any()
+
+    def test_render_true_builds_one_renderer(self, session_factory, monkeypatch):
+        built = []
+        real = session_module.CameraRenderer
+
+        def counting(*args, **kwargs):
+            built.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(session_module, "CameraRenderer", counting)
+        session = session_factory(render=True)
+        session.step(0.0, 0.5)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("render", [False, True])
+    def test_bad_renderer_mode_rejected_at_construction(self, oval_track, render):
+        with pytest.raises(SimulationError, match="renderer mode"):
+            DrivingSession(oval_track, render=render, renderer_mode="fisheye")
 
 
 class TestValidation:

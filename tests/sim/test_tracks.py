@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import TrackError
+from repro.sim.geometry import cumulative_arclength
 from repro.sim.tracks import (
     PAPER_OVAL_INNER_IN,
     PAPER_OVAL_OUTER_IN,
@@ -102,6 +103,105 @@ class TestTrackGeometry:
         assert mask.all()
 
 
+def reference_point_at(track, s):
+    """point_at as a ring rebuilt from the centreline on every call."""
+    ring = np.vstack([track.centerline, track.centerline[:1]])
+    s_ring = np.concatenate(
+        [cumulative_arclength(track.centerline, closed=True), [track.length]]
+    )
+    s = np.asarray(s, dtype=np.float64) % track.length
+    return np.stack(
+        [np.interp(s, s_ring, ring[:, 0]), np.interp(s, s_ring, ring[:, 1])], axis=-1
+    )
+
+
+def reference_heading(track, s):
+    """Two-point central difference, one point_at per point."""
+    eps = track.length / (4 * len(track.centerline))
+    diff = reference_point_at(track, s + eps) - reference_point_at(track, s - eps)
+    return float(np.arctan2(diff[1], diff[0]))
+
+
+def reference_curvature(track, s):
+    """Heading difference across +-eps: four point_at calls per sample."""
+    eps = max(track.length / len(track.centerline), 1e-3)
+    h0 = reference_heading(track, s - eps)
+    h1 = reference_heading(track, s + eps)
+    dh = np.arctan2(np.sin(h1 - h0), np.cos(h1 - h0))
+    return float(dh / (2 * eps))
+
+
+@pytest.fixture(params=["oval", "waveshare"])
+def any_track(request, oval_track, waveshare):
+    return oval_track if request.param == "oval" else waveshare
+
+
+def arclengths(track, n=257):
+    """Samples over two laps either side of zero, plus the seams."""
+    s = np.linspace(-track.length, 2 * track.length, n)
+    return np.concatenate([s, [0.0, track.length, -track.length, 1e-12, -1e-12]])
+
+
+class TestExactLookups:
+    """Cached tables and batched differences change no bit of any lookup."""
+
+    def test_point_at_array_equals_scalar_calls(self, any_track):
+        s = arclengths(any_track)
+        scalar = np.array([any_track.point_at(float(v)) for v in s])
+        assert (any_track.point_at(s) == scalar).all()
+
+    def test_point_at_equals_ring_rebuilt_per_call(self, any_track):
+        s = arclengths(any_track)
+        assert (any_track.point_at(s) == reference_point_at(any_track, s)).all()
+        for v in s[::16]:
+            want = reference_point_at(any_track, float(v))
+            assert (any_track.point_at(float(v)) == want).all()
+
+    def test_heading_at_equals_two_point_formula(self, any_track):
+        for v in arclengths(any_track):
+            want = reference_heading(any_track, float(v))
+            assert any_track.heading_at(float(v)) == want
+
+    def test_curvature_at_equals_four_point_formula(self, any_track):
+        for v in arclengths(any_track):
+            want = reference_curvature(any_track, float(v))
+            assert any_track.curvature_at(float(v)) == want
+
+    def test_curvature_at_array_equals_scalar_calls(self, any_track):
+        s = arclengths(any_track)
+        batched = any_track.curvature_at(s)
+        assert isinstance(batched, np.ndarray) and batched.shape == s.shape
+        scalar = np.array([any_track.curvature_at(float(v)) for v in s])
+        assert (batched == scalar).all()
+
+    def test_curvature_at_keeps_the_input_shape(self, oval_track):
+        s = np.linspace(0.0, oval_track.length, 12).reshape(3, 4)
+        batched = oval_track.curvature_at(s)
+        assert batched.shape == (3, 4)
+        assert (batched.ravel() == oval_track.curvature_at(s.ravel())).all()
+        assert isinstance(oval_track.curvature_at(1.0), float)
+
+    def test_minimum_radius_equals_per_sample_curvatures(self, any_track):
+        samples = np.linspace(
+            0, any_track.length, len(any_track.centerline), endpoint=False
+        )
+        curvatures = np.abs([reference_curvature(any_track, float(v)) for v in samples])
+        assert any_track.minimum_radius() == 1.0 / float(curvatures.max())
+
+
+class TestReadOnlyGeometry:
+    def test_centerline_write_raises(self):
+        track = default_tape_oval()
+        with pytest.raises(ValueError):
+            track.centerline[0, 0] = 1.0
+
+    @pytest.mark.parametrize("line", ["inner_line", "outer_line"])
+    def test_boundary_write_raises(self, line):
+        track = default_tape_oval()
+        with pytest.raises(ValueError):
+            getattr(track, line)[0, 0] = 1.0
+
+
 class TestWaveshare:
     def test_valid_and_drivable(self, waveshare):
         assert waveshare.minimum_radius() > waveshare.half_width
@@ -134,6 +234,30 @@ class TestValidation:
         track = Track("cw", cw, width=0.3)
         # Inner line (left of travel) must be the shorter one.
         assert track.inner_length < track.outer_length
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_centerline_rejected(self, bad):
+        t = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+        circle = np.column_stack([np.cos(t), np.sin(t)])
+        circle[5, 0] = bad
+        with pytest.raises(TrackError, match="non-finite"):
+            Track("bad", circle, width=0.3)
+
+    def test_non_finite_waypoints_rejected(self):
+        pts = np.array([[0, 0], [4, 0], [4, np.nan], [0, 3]], dtype=float)
+        with pytest.raises(TrackError, match="non-finite"):
+            track_from_waypoints("bad", pts, width=0.3)
+
+    def test_nan_width_rejected(self):
+        square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]], dtype=float)
+        with pytest.raises(TrackError, match="width"):
+            Track("bad", square, width=float("nan"))
+
+    def test_resolution_below_three_rejected(self):
+        t = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+        circle = np.column_stack([np.cos(t), np.sin(t)])
+        with pytest.raises(TrackError, match="resolution"):
+            Track("bad", circle, width=0.3, resolution=2)
 
     def test_custom_waypoints(self):
         pts = np.array([[0, 0], [4, 0], [4, 3], [0, 3]], dtype=float)
