@@ -35,10 +35,16 @@ N_STEERING_BINS = 15
 
 
 def images_to_float(images: np.ndarray) -> np.ndarray:
-    """uint8 HxWx3 frames -> float32 in [0, 1] (Keras-style scaling)."""
+    """uint8 HxWx3 frames -> float32 in [0, 1] (Keras-style scaling).
+
+    Scales the float32 copy in place, so a conversion holds one float
+    copy of the frames, not two.
+    """
     if images.dtype != np.uint8:
         raise DataError(f"expected uint8 images, got {images.dtype}")
-    return images.astype(np.float32) / 255.0
+    floats = images.astype(np.float32)
+    floats /= 255.0
+    return floats
 
 
 def linear_bin(values: np.ndarray, n_bins: int = N_STEERING_BINS) -> np.ndarray:

@@ -205,11 +205,12 @@ class IncrementalTrainer:
     def _split(
         self, frames: np.ndarray, labels: np.ndarray, round_no: int
     ) -> ArraySplit:
-        x = images_to_float(frames)
-        y = labels.astype(np.float32)
+        # Shuffle the uint8 frames before converting, so the window
+        # exists as float32 only once.
         rng = ensure_rng(seed_from_name(f"fleet-split-{round_no}", self.seed))
-        order = rng.permutation(len(x))
-        x, y = x[order], y[order]
+        order = rng.permutation(len(frames))
+        x = images_to_float(frames[order])
+        y = labels[order].astype(np.float32)
         n_val = max(1, int(len(x) * self.val_fraction))
         return ArraySplit(
             x_train=x[n_val:], y_train=y[n_val:], x_val=x[:n_val], y_val=y[:n_val]

@@ -67,6 +67,14 @@ class TestAugmentation:
         assert out.dtype == np.float32
         assert out.min() == 0.0 and out.max() == 1.0
 
+    def test_images_to_float_equals_scaled_copy_bit_for_bit(self):
+        images = np.arange(256, dtype=np.uint8).reshape(1, 8, 32, 1).repeat(3, axis=3)
+        out = images_to_float(images)
+        reference = images.astype(np.float32) / 255.0
+        assert out.dtype == np.float32
+        assert np.array_equal(out.view(np.uint32), reference.view(np.uint32))
+        assert not np.shares_memory(out, images)
+
     def test_images_to_float_rejects_float(self):
         with pytest.raises(DataError):
             images_to_float(np.zeros((1, 2, 2, 3), dtype=np.float32))
