@@ -7,16 +7,20 @@ reference layer stack on DonkeyModel backbones at the bench frame size
 * **forward** — batched (32) and single-frame, plan vs reference, plus
   the serving-relevant comparison: one compiled batched pass against
   32 serial reference forwards (what a replica would otherwise do);
-* **training** — one forward+backward step through the
-  ``TrainingPlan`` vs the reference layers, with the bitwise-equality
-  guarantee re-checked on the measured step.
+* **training** — the step ``Trainer`` runs, ``fast_forward(x,
+  training=True)`` + ``fast_backward``, vs the reference ``forward`` +
+  ``backward``, with the bitwise-equality guarantee re-checked on the
+  measured step.  The fast step skips the gradient with respect to the
+  images, which no trainer reads.
 
 Acceptance (pinned at levels robust to a noisy shared box; quiet-box
 measurements are higher — see ROADMAP item 2 for the measured spread):
 the compiled batched pass beats serial reference serving >= 1.5x, the
 compiled single-frame pass beats the reference >= 1.2x, batched the
 plan is never slower than the reference stack (<= 1.15x tolerance),
-and the training step is at parity (<= 1.25x) while staying bitwise.
+the linear model's training step is >= 1.25x faster than the reference
+step while staying bitwise, and the rnn and 3d steps are never slower
+(<= 1.25x tolerance).
 
 All timings are interleaved best-of-N within one process so plan and
 reference see the same machine state.
@@ -100,30 +104,28 @@ def _measure_forward(name):
 
 def _measure_train(name):
     model = create_model(name, input_shape=(BENCH_H, BENCH_W, 3), scale=0.5, seed=3)
-    net = model.net
     rng = np.random.default_rng(13)
     x = _batch_for(model, rng, BATCH)
     y = rng.random((BATCH, 2), dtype=np.float32)
-    tplan = net.training_plan()
 
     def ref_step():
-        out = net.forward(x, training=True)
-        net.backward(out - y)
+        out = model.forward(x, training=True)
+        model.backward(out - y)
 
     def plan_step():
-        out = tplan.forward(x)
-        tplan.backward(out - y)
+        out = model.fast_forward(x, training=True)
+        model.fast_backward(out - y)
 
     # Bitwise re-check on the measured workload: identical forward and
     # identical gradients from the two paths (fresh dropout streams per
-    # net, so compare two same-seed twins).
+    # model, so compare two same-seed twins).
     twin = create_model(name, input_shape=(BENCH_H, BENCH_W, 3), scale=0.5, seed=3)
-    twin_out = twin.net.forward(x, training=True)
-    twin.net.backward(twin_out - y)
-    plan_out = tplan.forward(x)
-    tplan.backward(plan_out - y)
+    twin_out = twin.forward(x, training=True)
+    twin.backward(twin_out - y)
+    plan_out = model.fast_forward(x, training=True)
+    model.fast_backward(plan_out - y)
     assert np.array_equal(plan_out, twin_out)
-    for ga, gb in zip(net.grads, twin.net.grads):
+    for ga, gb in zip(model.grads, twin.grads):
         assert np.array_equal(ga, gb)
 
     ref_step()  # warm both paths before timing
@@ -190,9 +192,11 @@ def test_ml_train_scale(benchmark):
     emit("BENCH_ml_train", "\n".join(lines))
     emit_json("BENCH_ml_train", {"rows": rows, "repeats": REPEATS})
 
+    by_model = {r["model"]: r for r in rows}
     for r in rows:
-        # The training plan mirrors the reference math op-for-op (the
-        # bitwise contract), so its FLOPs are identical; preallocation
-        # must keep it at least at parity with the reference step.
         assert r["bitwise_identical"]
+        # Never slower than the reference step.
         assert r["plan_step_ms"] <= r["ref_step_ms"] * 1.25
+    # The same per-element operations as the reference, minus the
+    # unread image gradient, in far fewer numpy calls.
+    assert by_model["linear"]["plan_vs_ref_step"] >= 1.25

@@ -16,8 +16,10 @@ All tensors are float32, batch-first, channels-last (Keras layout).
 This stack is the *reference* implementation: clear, allocation-happy,
 one Python call per layer.  :mod:`repro.ml.plan` compiles a built stack
 into a fast path (im2col GEMM convs, preallocated buffers); its
-training kernels mirror this module's math op-for-op, pinned by the
-parity suite in ``tests/ml/test_plan_parity.py``.
+training kernels compute every value they return with this module's
+per-element operations in this module's order, gathering the operands
+with fewer numpy calls, pinned bitwise by the parity suite in
+``tests/ml/test_plan_parity.py``.
 """
 
 from __future__ import annotations

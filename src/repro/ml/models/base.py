@@ -192,11 +192,16 @@ class DonkeyModel:
         return net.plan().run(x)
 
     def fast_backward(self, grad: np.ndarray) -> None:
-        """Backprop through the cached ``fast_forward(training=True)``."""
+        """Backprop through the cached ``fast_forward(training=True)``.
+
+        Fills every layer gradient.  Nothing reads the gradient with
+        respect to the images, so the network that sees them is asked
+        not to compute it.
+        """
         net = getattr(self, "net", None)
         if net is None:
             raise PlanError(f"{type(self).__name__} does not define a fast path")
-        net.training_plan().backward(grad)
+        net.training_plan().backward(grad, input_grad=False)
 
     # ---------------------------------------------- evaluation surface
 

@@ -95,7 +95,7 @@ class CategoricalModel(DonkeyModel):
         g_throttle = self.throttle_head.training_plan().backward(
             grad[:, N_STEERING_BINS:]
         )
-        self.trunk.training_plan().backward(g_angle + g_throttle)
+        self.trunk.training_plan().backward(g_angle + g_throttle, input_grad=False)
 
     @property
     def params(self) -> list[np.ndarray]:

@@ -88,7 +88,9 @@ class MemoryModel(DonkeyModel):
 
     def fast_backward(self, grad: np.ndarray) -> None:
         g_joined = self.head.training_plan().backward(grad)
-        self.trunk.training_plan().backward(g_joined[:, : self._feat_dim])
+        self.trunk.training_plan().backward(
+            g_joined[:, : self._feat_dim], input_grad=False
+        )
 
     def _unpack(self, x) -> tuple[np.ndarray, np.ndarray]:
         if not (isinstance(x, (tuple, list)) and len(x) == 2):

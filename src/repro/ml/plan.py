@@ -13,12 +13,18 @@ step programs that run a whole pass with minimal Python dispatch:
   ``out=``-style float32 numpy call.  Output parity with the reference
   stack is *allclose* at float32 tolerances (the GEMM changes the
   accumulation order).
-* :class:`TrainingPlan` — forward + backward.  Kernels mirror the
-  reference math op-for-op (same operand order, same reductions) while
-  writing into preallocated activation/grad workspaces, so a training
-  step through the plan produces **identical** post-step weights to the
-  reference stack — the parity suite pins this exactly, not just
-  approximately.
+* :class:`TrainingPlan` — forward + backward.  Every value a caller
+  reads comes from the same per-element float32 operations, in the same
+  order, as in the reference layers, so a training step through the
+  plan produces **identical** post-step weights to the reference stack —
+  the parity suite pins this exactly, not just approximately.  The
+  operands are gathered differently: a convolution copies each tap's
+  input patch once per forward, laid out as the reference lays out its
+  weight-gradient operand, and multiplies a tap with one GEMM where
+  that rounds as the reference's one-GEMM-per-output-row products do
+  (checked per shape against the BLAS in use).  The gradient with
+  respect to the plan's input is optional, because the network that
+  sees the images never needs it.
 
 Plans hold *views* of the layer parameters, so in-place weight updates
 (``Sequential.set_weights``, optimizer steps) are visible without
@@ -33,6 +39,9 @@ same batch size.  Copy them if they must outlive the next pass.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from itertools import product
+
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
@@ -42,6 +51,7 @@ except ImportError:  # pragma: no cover - scipy is optional
     _sgemm = None
 
 from repro.common.errors import PlanError, ShapeError
+from repro.common.rng import ensure_rng
 from repro.ml.layers import (
     LSTM,
     Activation,
@@ -155,6 +165,38 @@ def _act_backward_buffers(name: str | None, shape: tuple[int, ...]) -> dict:
     return ws
 
 
+@lru_cache(maxsize=1024)
+def _merged_gemm_is_exact(
+    calls: int, rows: int, inner: int, cols: int, lda: int, rhs_t: bool
+) -> bool:
+    """Whether one stacked GEMM rounds as the reference's per-row GEMMs do.
+
+    For a 4-D operand numpy makes ``calls`` separate ``(rows, inner) @
+    (inner, cols)`` BLAS calls, with the left rows ``lda`` floats apart
+    (``rhs_t``: the right operand is a transposed view).  BLAS libraries
+    pick kernels and row blocking by size, so one ``(calls * rows,
+    inner)`` GEMM reproduces those bits for some shapes and not others.
+    This runs both on three random draws, once per shape, with the BLAS
+    in use.  A dimension of 1 makes numpy call matrix-vector kernels,
+    which can differ from the merged call in a single element, too few
+    for a probe to catch: those shapes keep the per-row calls.
+    """
+    if min(rows, inner, cols) == 1:
+        return False
+    rng = ensure_rng(0)
+    for _draw in range(3):
+        lhs = rng.standard_normal((calls, rows, lda), dtype=_F32)[:, :, :inner]
+        if rhs_t:
+            rhs = rng.standard_normal((cols, inner), dtype=_F32).T
+        else:
+            rhs = rng.standard_normal((inner, cols), dtype=_F32)
+        per_row = np.matmul(lhs, rhs)
+        merged = np.matmul(np.ascontiguousarray(lhs).reshape(-1, inner), rhs)
+        if not np.array_equal(merged.reshape(per_row.shape), per_row):
+            return False
+    return True
+
+
 # -------------------------------------------------------------- steps
 
 
@@ -177,7 +219,9 @@ class _Step:
     def train_forward(self, x: np.ndarray, ws: dict) -> np.ndarray:
         raise NotImplementedError
 
-    def backward(self, grad: np.ndarray, ws: dict) -> np.ndarray:
+    def backward(
+        self, grad: np.ndarray, ws: dict, input_grad: bool = True
+    ) -> np.ndarray | None:
         raise NotImplementedError
 
 
@@ -212,12 +256,16 @@ class _DenseStep(_Step):
         ws["x"] = x
         return out
 
-    def backward(self, grad: np.ndarray, ws: dict) -> np.ndarray:
+    def backward(
+        self, grad: np.ndarray, ws: dict, input_grad: bool = True
+    ) -> np.ndarray | None:
         lay = self.layer
         if self.act is not None:
             grad = _act_backward_mirror(self.act, grad, ws["out"], ws)
         np.matmul(ws["x"].T, grad, out=lay.grads[0])
         np.sum(grad, axis=0, out=lay.grads[1])
+        if not input_grad:
+            return None
         return np.matmul(grad, lay.w.T, out=ws["dx"])
 
 
@@ -230,6 +278,21 @@ class _Conv2DStep(_Step):
         # Flat (KH*KW*Cin, F) view of the kernel for the im2col GEMM;
         # stays live across in-place weight updates.
         self.k2 = layer.k.reshape(-1, layer.filters)
+        self.taps = list(product(range(layer.kh), range(layer.kw)))
+        # Stride phase (p, q) of the input: rows p, p + SH, ... and
+        # columns q, q + SW, ..., (h, w) of them, as many as its taps
+        # read.  Tap (i, j) reads phase (i % SH, j % SW) from row i // SH
+        # and column j // SW.
+        self.phases = [
+            (
+                p,
+                q,
+                (layer.kh - 1 - p) // layer.sh + self.oh,
+                (layer.kw - 1 - q) // layer.sw + self.ow,
+            )
+            for p in range(min(layer.sh, layer.kh))
+            for q in range(min(layer.sw, layer.kw))
+        ]
 
     def _patch_view(self, x: np.ndarray) -> np.ndarray:
         lay = self.layer
@@ -259,56 +322,134 @@ class _Conv2DStep(_Step):
             _activate_inplace(self.act, out)
         return out
 
+    def _patch_row_stride(self, n: int) -> int:
+        """Row stride, in floats, of the reference's ``x[sl].reshape(-1, cin)``.
+
+        numpy returns a view when the patch's image, row and column axes
+        merge into one evenly strided axis, and a contiguous copy
+        otherwise.  Matrix-vector BLAS kernels round by that stride.
+        """
+        lay = self.layer
+        h, w, cin = self.in_shape
+        axes = [
+            (size, stride)
+            for size, stride in (
+                (n, h * w * cin), (self.oh, lay.sh * w * cin), (self.ow, lay.sw * cin)
+            )
+            if size > 1
+        ]
+        if axes and all(
+            outer == size * inner for (_, outer), (size, inner) in zip(axes, axes[1:])
+        ):
+            return axes[-1][1]
+        return cin
+
     def alloc_train(self, n: int) -> dict:
         lay = self.layer
-        shape = (n, self.oh, self.ow, lay.filters)
+        f, cin = lay.filters, self.cin
+        shape = (n, self.oh, self.ow, f)
+        rows = n * self.oh * self.ow
+        # Tap (i, j) laid out as the reference's ``x[sl].reshape(-1, cin)``.
+        taps2 = np.empty((lay.kh, lay.kw, rows, self._patch_row_stride(n)), _F32)
+        taps2 = taps2[..., :cin]
+        taps = taps2.reshape(lay.kh, lay.kw, n, self.oh, self.ow, cin)
+        out = np.empty(shape, _F32)
+        dx = np.empty((n, *self.in_shape), _F32)
+        tmp_b = np.empty((n, self.oh, self.ow, cin), _F32)
+        # The forward splits its input into these stride phases; the
+        # backward reuses them to sum the input gradient.
+        phases = {(p, q): np.empty((n, h, w, cin), _F32) for p, q, h, w in self.phases}
+        # The reference multiplies 4-D operands: numpy makes one BLAS
+        # call per (image, output row), n * OH per tap.  Where one GEMM
+        # per tap rounds the same, the forward multiplies the gathered
+        # patches, else the reference's own view of x; likewise the
+        # input gradient's ``grad @ k[i, j].T``.
+        calls = n * self.oh
+        fwd_merged = _merged_gemm_is_exact(calls, self.ow, cin, f, lay.sw * cin, False)
         ws = {
-            "out": np.empty(shape, _F32),
-            "tmp_f": np.empty(shape, _F32),
-            "tmp_b": np.empty((n, self.oh, self.ow, self.cin), _F32),
-            "dx": np.empty((n, *self.in_shape), _F32),
+            "out": out,
+            "taps2": taps2,
+            "taps3t": taps2.reshape(lay.kh * lay.kw, rows, cin).transpose(0, 2, 1),
+            "dk3": lay.grads[0].reshape(lay.kh * lay.kw, cin, f),
+            "fwd_merged": fwd_merged,
+            "acc": out.reshape(rows, f) if fwd_merged else out,
+            "dx_merged": _merged_gemm_is_exact(calls, self.ow, f, cin, f, True),
+            "dx": dx,
+            "tmp_b": tmp_b,
+            "tmp_b2": tmp_b.reshape(rows, cin),
+            "phases": list(phases.values()),
+            # Per phase: the taps it fills, read through a strided view.
+            "phase_taps": [],
+            # Per phase: where it sits in dx.
+            "phase_dx": [
+                dx[:, p :: lay.sh, q :: lay.sw][:, :h, :w] for p, q, h, w in self.phases
+            ],
+            # Per tap: where its input-gradient term lands in its phase.
+            "tap_dx": [
+                phases[i % lay.sh, j % lay.sw][
+                    :, i // lay.sh : i // lay.sh + self.oh, j // lay.sw : j // lay.sw + self.ow
+                ]
+                for i, j in self.taps
+            ],
         }
+        ws["prod"] = np.empty_like(ws["acc"])
+        for (p, q), phase in phases.items():
+            dst = taps[p :: lay.sh, q :: lay.sw]
+            sn, sh, sw, sc = phase.strides
+            src = as_strided(phase, shape=dst.shape, strides=(sh, sw, sn, sh, sw, sc))
+            ws["phase_taps"].append((dst, src))
         ws.update(_act_backward_buffers(self.act, shape))
         return ws
 
     def train_forward(self, x: np.ndarray, ws: dict) -> np.ndarray:
         lay = self.layer
+        # Gather every tap's patch once.  The input is split into its
+        # stride phases first so that each tap copies whole output rows.
+        for (p, q, h, w), phase, (dst, src) in zip(
+            self.phases, ws["phases"], ws["phase_taps"]
+        ):
+            np.copyto(phase, x[:, p :: lay.sh, q :: lay.sw][:, :h, :w])
+            np.copyto(dst, src)
+        if ws["fwd_merged"]:
+            lhs = ws["taps2"]
+        else:  # lhs[i, j] is the reference's x[sl], strides and all
+            lhs = self._patch_view(x).transpose(3, 4, 0, 1, 2, 5)
+        acc, prod = ws["acc"], ws["prod"]
+        acc[:] = lay.b
+        for i, j in self.taps:
+            np.matmul(lhs[i, j], lay.k[i, j], out=prod)
+            acc += prod
         out = ws["out"]
-        tmp = ws["tmp_f"]
-        out[:] = lay.b
-        for i in range(lay.kh):
-            for j in range(lay.kw):
-                patch = x[
-                    :, i : i + lay.sh * self.oh : lay.sh, j : j + lay.sw * self.ow : lay.sw
-                ]
-                np.matmul(patch, lay.k[i, j], out=tmp)
-                out += tmp
         if self.act is not None:
             _activate_mirror(self.act, out)
-        ws["x"] = x
         return out
 
-    def backward(self, grad: np.ndarray, ws: dict) -> np.ndarray:
+    def backward(
+        self, grad: np.ndarray, ws: dict, input_grad: bool = True
+    ) -> np.ndarray | None:
         lay = self.layer
         if self.act is not None:
             grad = _act_backward_mirror(self.act, grad, ws["out"], ws)
-        x = ws["x"]
         grad2 = grad.reshape(-1, lay.filters)
         np.sum(grad2, axis=0, out=lay.grads[1])
-        dk = lay.grads[0]
+        # One call for every tap: numpy still makes the reference's
+        # ``x[sl].reshape(-1, cin).T @ grad2`` BLAS call for each.
+        np.matmul(ws["taps3t"], grad2, out=ws["dk3"])
+        if not input_grad:
+            return None
+        tmp = ws["tmp_b"]
+        g, prod = (grad2, ws["tmp_b2"]) if ws["dx_merged"] else (grad, tmp)
+        for phase in ws["phases"]:
+            phase[...] = 0.0
+        # Each phase element sums its taps' terms in the reference's
+        # (i, j) order, starting from zero, as ``dx[sl] += tmp`` does.
+        for (i, j), site in zip(self.taps, ws["tap_dx"]):
+            np.matmul(g, lay.k[i, j].T, out=prod)
+            site += tmp
         dx = ws["dx"]
         dx[...] = 0.0
-        tmp = ws["tmp_b"]
-        for i in range(lay.kh):
-            for j in range(lay.kw):
-                sl = (
-                    slice(None),
-                    slice(i, i + lay.sh * self.oh, lay.sh),
-                    slice(j, j + lay.sw * self.ow, lay.sw),
-                )
-                np.matmul(x[sl].reshape(-1, self.cin).T, grad2, out=dk[i, j])
-                np.matmul(grad, lay.k[i, j].T, out=tmp)
-                dx[sl] += tmp
+        for phase, site in zip(ws["phases"], ws["phase_dx"]):
+            site[...] = phase
         return dx
 
 
@@ -319,6 +460,7 @@ class _Conv3DStep(_Step):
         self.ot, self.oh, self.ow = layer._out_thw(*in_shape[:3])
         self.act = layer.activation.name if layer.activation is not None else None
         self.k2 = layer.k.reshape(-1, layer.filters)
+        self.taps = list(product(range(layer.kt), range(layer.kh), range(layer.kw)))
 
     def _patch_view(self, x: np.ndarray) -> np.ndarray:
         lay = self.layer
@@ -387,7 +529,9 @@ class _Conv3DStep(_Step):
         ws["x"] = x
         return out
 
-    def backward(self, grad: np.ndarray, ws: dict) -> np.ndarray:
+    def backward(
+        self, grad: np.ndarray, ws: dict, input_grad: bool = True
+    ) -> np.ndarray | None:
         lay = self.layer
         if self.act is not None:
             grad = _act_backward_mirror(self.act, grad, ws["out"], ws)
@@ -395,16 +539,17 @@ class _Conv3DStep(_Step):
         grad2 = grad.reshape(-1, lay.filters)
         np.sum(grad2, axis=0, out=lay.grads[1])
         dk = lay.grads[0]
+        for a, i, j in self.taps:
+            sl = self._slices(a, i, j)
+            np.matmul(x[sl].reshape(-1, self.cin).T, grad2, out=dk[a, i, j])
+        if not input_grad:
+            return None
         dx = ws["dx"]
         dx[...] = 0.0
         tmp = ws["tmp_b"]
-        for a in range(lay.kt):
-            for i in range(lay.kh):
-                for j in range(lay.kw):
-                    sl = self._slices(a, i, j)
-                    np.matmul(x[sl].reshape(-1, self.cin).T, grad2, out=dk[a, i, j])
-                    np.matmul(grad, lay.k[a, i, j].T, out=tmp)
-                    dx[sl] += tmp
+        for a, i, j in self.taps:
+            np.matmul(grad, lay.k[a, i, j].T, out=tmp)
+            dx[self._slices(a, i, j)] += tmp
         return dx
 
 
@@ -444,7 +589,9 @@ class _MaxPool2DStep(_Step):
         ws["blocks"] = blocks
         return out
 
-    def backward(self, grad: np.ndarray, ws: dict) -> np.ndarray:
+    def backward(
+        self, grad: np.ndarray, ws: dict, input_grad: bool = True
+    ) -> np.ndarray | None:
         lay = self.layer
         out = ws["out"]
         mask = ws["blocks"] == out[:, :, None, :, None, :]
@@ -467,7 +614,9 @@ class _FlattenStep(_Step):
         ws["shape"] = x.shape
         return x.reshape(len(x), -1)
 
-    def backward(self, grad: np.ndarray, ws: dict) -> np.ndarray:
+    def backward(
+        self, grad: np.ndarray, ws: dict, input_grad: bool = True
+    ) -> np.ndarray | None:
         return grad.reshape(ws["shape"])
 
 
@@ -494,7 +643,9 @@ class _DropoutStep(_Step):
         ws["mask"] = mask
         return np.multiply(x, mask, out=ws["out"])
 
-    def backward(self, grad: np.ndarray, ws: dict) -> np.ndarray:
+    def backward(
+        self, grad: np.ndarray, ws: dict, input_grad: bool = True
+    ) -> np.ndarray | None:
         mask = ws["mask"]
         if mask is None:
             return grad
@@ -535,7 +686,9 @@ class _ActivationStep(_Step):
         _activate_mirror(self.name, out)
         return out
 
-    def backward(self, grad: np.ndarray, ws: dict) -> np.ndarray:
+    def backward(
+        self, grad: np.ndarray, ws: dict, input_grad: bool = True
+    ) -> np.ndarray | None:
         if self.name == "linear":
             return grad
         return _act_backward_mirror(self.name, grad, ws["out"], ws)
@@ -565,10 +718,14 @@ class _TimeDistributedStep(_Step):
         out = self.inner.train_forward(flat, ws["inner"])
         return out.reshape(n, self.t, *out.shape[1:])
 
-    def backward(self, grad: np.ndarray, ws: dict) -> np.ndarray:
+    def backward(
+        self, grad: np.ndarray, ws: dict, input_grad: bool = True
+    ) -> np.ndarray | None:
         n = len(grad)
         flat = grad.reshape(n * self.t, *grad.shape[2:])
-        dx = self.inner.backward(flat, ws["inner"])
+        dx = self.inner.backward(flat, ws["inner"], input_grad)
+        if dx is None:
+            return None
         return dx.reshape(n, self.t, *dx.shape[1:])
 
 
@@ -681,7 +838,9 @@ class _LSTMStep(_Step):
         ws["x"] = x
         return hs if lay.return_sequences else hs[:, -1]
 
-    def backward(self, grad: np.ndarray, ws: dict) -> np.ndarray:
+    def backward(
+        self, grad: np.ndarray, ws: dict, input_grad: bool = True
+    ) -> np.ndarray | None:
         lay = self.layer
         u = lay.units
         x = ws["x"]
@@ -850,9 +1009,12 @@ class InferencePlan(_PlanBase):
 class TrainingPlan(_PlanBase):
     """Forward+backward compiled program with preallocated grad buffers.
 
-    The kernels mirror the reference layer math op-for-op, so one
-    ``forward``/``backward`` pair writes gradients into the *layers'*
-    ``grads`` arrays with values identical to the reference stack.
+    One ``forward``/``backward`` pair writes gradients into the
+    *layers'* ``grads`` arrays with values identical to the reference
+    stack's: each value is computed by the reference's per-element
+    operations in the reference's order, from operands gathered with
+    fewer numpy calls.  ``backward(grad, input_grad=False)`` skips the
+    gradient with respect to the plan's input and returns ``None``.
     """
 
     def __init__(self, layers: list[Layer], input_shape: tuple[int, ...]) -> None:
@@ -871,10 +1033,18 @@ class TrainingPlan(_PlanBase):
         self._last = ws
         return out
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        """Backprop through the cached forward; fills layer grads."""
+    def backward(
+        self, grad: np.ndarray, input_grad: bool = True
+    ) -> np.ndarray | None:
+        """Backprop through the cached forward; fills layer grads.
+
+        Returns the gradient with respect to the plan's input, or
+        ``None`` with ``input_grad=False``, in which case the first step
+        skips computing it.
+        """
         if self._last is None:
             raise PlanError("TrainingPlan.backward called before forward")
-        for step, w in zip(reversed(self.steps), reversed(self._last)):
-            grad = step.backward(grad, w)
-        return grad
+        first = len(self.steps) - 1
+        for k, (step, w) in enumerate(zip(reversed(self.steps), reversed(self._last))):
+            grad = step.backward(grad, w, input_grad or k < first)
+        return grad if input_grad else None

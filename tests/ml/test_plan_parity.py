@@ -5,9 +5,11 @@ The contract under test (see ``repro.ml.plan``):
 * **Inference** — ``InferencePlan.run`` matches ``Sequential.forward``
   at float32 tolerances (the im2col GEMM changes floating-point
   accumulation order, so bitwise equality is not promised).
-* **Training** — ``TrainingPlan`` mirrors the reference math op for
-  op: forward activations, gradients, and therefore post-optimizer-step
-  weights are **bitwise identical** to training on the layers directly.
+* **Training** — ``TrainingPlan`` does the reference's per-element
+  float32 operations in the reference's order: forward activations,
+  gradients, and therefore post-optimizer-step weights are **bitwise
+  identical** to training on the layers directly, with or without the
+  gradient with respect to the plan's input.
 
 Every layer type with a compiled kernel is covered alone and inside
 full DonkeyModel-shaped stacks, at batch sizes 1 / 7 / 32 including
@@ -30,7 +32,8 @@ from repro.ml.layers import (
     MaxPool2D,
     TimeDistributed,
 )
-from repro.ml.models.factory import create_model
+from repro.ml.models.base import default_backbone_layers
+from repro.ml.models.factory import MODEL_NAMES, create_model
 from repro.ml.network import Sequential
 from repro.ml.optimizers import Adam
 from repro.ml.plan import MAX_BATCH_KEYS, InferencePlan, TrainingPlan
@@ -289,6 +292,105 @@ def test_training_plan_bitwise_parity(make_layers, shape, batch):
         assert np.array_equal(wf, wr)
 
 
+@pytest.mark.parametrize(
+    "make_layers,shape", [(m, s) for _, m, s in TRAIN_CASES],
+    ids=[n for n, _, _ in TRAIN_CASES],
+)
+@pytest.mark.parametrize("batch", (1, 7))
+def test_backward_without_input_grad_matches_reference(make_layers, shape, batch):
+    """``input_grad=False`` returns None and still fills every layer
+    gradient with the reference's exact values."""
+    net_ref = Sequential(make_layers(), shape, seed=12)
+    net_fast = Sequential(make_layers(), shape, seed=12)
+    x = _input(shape, batch, seed=5)
+    ref_out = net_ref.forward(x, training=True)
+    grad = _input(net_ref.output_shape, batch, seed=6)
+    net_ref.backward(grad)
+    plan = net_fast.training_plan()
+    assert np.array_equal(plan.forward(x), ref_out)
+    assert plan.backward(grad, input_grad=False) is None
+    for ga, gb in zip(net_fast.grads, net_ref.grads):
+        assert np.array_equal(ga, gb)
+
+
+#: Conv shapes where one GEMM per tap over the gathered patches does not
+#: reproduce the reference's per-(image, output row) products, where the
+#: reference's ``x[sl].reshape(-1, cin)`` is a strided view rather than
+#: a copy, or where the stride exceeds the kernel, so some input rows
+#: feed no tap.  (input shape, filters, kernel, stride, batch)
+CONV_CORNERS = [
+    ("one-filter", (24, 32, 3), 1, 5, 2, 16),
+    ("one-output-column", (14, 2, 3), 4, 2, 2, 7),
+    ("one-channel-one-column", (14, 2, 1), 8, 2, 2, 7),
+    ("32-channels", (9, 9, 32), 2, 3, 1, 7),
+    ("64-channels", (11, 19, 64), 6, 5, 3, 1),
+    ("stride-over-kernel", (10, 11, 2), 3, 1, 3, 4),
+]
+
+
+@pytest.mark.parametrize(
+    "shape,filters,kernel,stride,batch",
+    [c[1:] for c in CONV_CORNERS],
+    ids=[c[0] for c in CONV_CORNERS],
+)
+@pytest.mark.parametrize("act", ["linear", "tanh"])
+def test_conv_corner_shapes_bitwise(shape, filters, kernel, stride, batch, act):
+    net = Sequential([Conv2D(filters, kernel, stride, activation=act)], shape, seed=13)
+    x = _input(shape, batch, seed=7)
+    ref_out = net.forward(x, training=True).copy()
+    grad = _input(ref_out.shape[1:], batch, seed=8)
+    ref_dx = net.backward(grad).copy()
+    ref_grads = [g.copy() for g in net.grads]
+    plan = net.training_plan()
+    assert np.array_equal(plan.forward(x), ref_out)
+    assert np.array_equal(plan.backward(grad), ref_dx)
+    for ga, gb in zip(net.grads, ref_grads):
+        assert np.array_equal(ga, gb)
+    for g in net.grads:
+        g[...] = np.nan
+    plan.forward(x)
+    assert plan.backward(grad, input_grad=False) is None
+    for ga, gb in zip(net.grads, ref_grads):
+        assert np.array_equal(ga, gb)
+
+
+def test_fleet_training_shape_is_bitwise():
+    """The shape the fleet trains: a (24, 32, 3) linear model at scale
+    0.25, whose backbone is two 5x5 stride-2 convs, in batches of 16,
+    through ``fast_forward``/``fast_backward`` and Adam."""
+    shape = (24, 32, 3)
+    convs = [
+        layer for layer in default_backbone_layers(scale=0.25, input_shape=shape)
+        if isinstance(layer, Conv2D)
+    ]
+    assert [(c.kh, c.kw, c.sh, c.sw) for c in convs] == [(5, 5, 2, 2)] * 2
+    runs = []
+    for fast in (True, False):
+        model = create_model("linear", input_shape=shape, scale=0.25, seed=4)
+        opt = Adam(learning_rate=1e-3)
+        rng = np.random.default_rng(21)
+        losses = []
+        for _ in range(3):
+            x = rng.random((16, *shape), dtype=np.float32)
+            y = rng.uniform(-1, 1, (16, 2)).astype(np.float32)
+            if fast:
+                pred = model.fast_forward(x, training=True)
+            else:
+                pred = model.forward(x, training=True)
+            loss, grad = model.compute_loss(pred, y)
+            if fast:
+                model.fast_backward(grad)
+            else:
+                model.backward(grad)
+            opt.step(model.params, model.grads)
+            losses.append(loss)
+        runs.append((losses, model.get_weights()))
+    (losses_fast, weights_fast), (losses_ref, weights_ref) = runs
+    assert losses_fast == losses_ref
+    for wf, wr in zip(weights_fast, weights_ref):
+        assert np.array_equal(wf, wr)
+
+
 def test_training_plan_backward_requires_forward():
     net = Sequential([Dense(3)], (4,), seed=8)
     with pytest.raises(PlanError, match="before forward"):
@@ -331,6 +433,41 @@ def _reference_commands(model, frames):
         angle = np.clip(pred[:, 0], -1, 1)
         throttle = np.clip(pred[:, 1], -1, 1)
     return np.stack([np.asarray(angle), np.asarray(throttle)], axis=1)
+
+
+def _model_batch(model, n, seed=0):
+    """A training-layout input batch for ``model``."""
+    rng = np.random.default_rng(seed)
+    frames = (n, model.sequence_length) if model.sequence_length else (n,)
+    x = rng.random((*frames, *model.input_shape), dtype=np.float32)
+    if model.targets == "memory":
+        return x, rng.uniform(-1, 1, (n, model.mem_length, 2)).astype(np.float32)
+    return x
+
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_fast_backward_skips_only_the_image_input_grad(name, monkeypatch):
+    """Nothing reads the gradient with respect to the images, so the
+    network that sees them is asked not to compute it; every head
+    network's input gradient feeds the trunk, so it is asked for."""
+    model = create_model(name, input_shape=(24, 32, 3), scale=0.25)
+    nets = {attr: net for attr, net in vars(model).items() if isinstance(net, Sequential)}
+    image_net = "trunk" if "trunk" in nets else "net"
+    requested = []
+    backward = TrainingPlan.backward
+
+    def spy(plan, grad, input_grad=True):
+        requested.append((plan, input_grad))
+        return backward(plan, grad, input_grad)
+
+    monkeypatch.setattr(TrainingPlan, "backward", spy)
+    pred = model.fast_forward(_model_batch(model, 4), training=True)
+    model.fast_backward(np.ones_like(pred))
+    by_net = {
+        attr: [flag for plan, flag in requested if plan is net.training_plan()]
+        for attr, net in nets.items()
+    }
+    assert by_net == {attr: [attr != image_net] for attr in nets}
 
 
 @pytest.mark.parametrize(

@@ -9,8 +9,9 @@ random inputs, then checks the plan contract from ``repro.ml.plan``:
 * ``run`` never mutates its input array;
 * repeated ``run`` on the same input is byte-identical (the plan's
   buffer reuse is deterministic);
-* the training plan reproduces reference forward activations and
-  gradients bitwise.
+* the training plan reproduces reference forward activations, layer
+  gradients and the input gradient bitwise, and with
+  ``input_grad=False`` returns None and the same layer gradients.
 """
 
 import numpy as np
@@ -54,7 +55,8 @@ def conv_recipes(draw):
     recipe = [
         (
             "conv2d",
-            draw(st.integers(2, 6)),
+            # One filter is drawn too: BLAS multiplies it matrix-vector.
+            draw(st.integers(1, 6)),
             draw(st.sampled_from([3, 5])),
             draw(st.sampled_from([1, 2])),
             draw(activations),
@@ -143,16 +145,22 @@ class TestTrainingPlanProperties:
     ):
         spec, shape = recipe
         net_ref = Sequential(build(spec), shape, seed=7)
-        net_fast = Sequential(build(spec), shape, seed=7)
-        net_fast.set_weights(net_ref.get_weights())
         x = _x(shape, batch, seed)
 
         ref_out = net_ref.forward(x, training=True)
-        net_ref.backward(np.ones_like(ref_out))
+        ref_dx = net_ref.backward(np.ones_like(ref_out))
 
-        plan = net_fast.training_plan()
-        out = plan.forward(x)
-        assert np.array_equal(out, ref_out)
-        plan.backward(np.ones_like(out))
-        for ga, gb in zip(net_ref.grads, net_fast.grads):
-            assert np.array_equal(ga, gb)
+        for input_grad in (True, False):
+            # A fresh twin per pass, so dropout draws the same masks.
+            net_fast = Sequential(build(spec), shape, seed=7)
+            net_fast.set_weights(net_ref.get_weights())
+            plan = net_fast.training_plan()
+            out = plan.forward(x)
+            assert np.array_equal(out, ref_out)
+            dx = plan.backward(np.ones_like(out), input_grad=input_grad)
+            if input_grad:
+                assert np.array_equal(dx, ref_dx)
+            else:
+                assert dx is None
+            for ga, gb in zip(net_ref.grads, net_fast.grads):
+                assert np.array_equal(ga, gb)
