@@ -1,5 +1,7 @@
 """The autolearn CLI."""
 
+import hashlib
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -57,3 +59,96 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "mean speed" in out
         assert "laps" in out
+
+
+def _sha256(data: str | bytes) -> str:
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    return hashlib.sha256(data).hexdigest()
+
+
+#: ``serve --vehicles 16 --duration 1 --seed 3``
+SERVE_VEHICLES = """\
+serve summary
+  config    router=least-outstanding batch=adaptive replicas=4
+  duration  1.000s simulated (1.010s to drain)
+  offered   160
+  completed 160 (goodput 158.44 Hz, throughput 158.44 Hz)
+  losses    dropped=0 shed=0 rejected=0 expired=0
+  latency   p50=79.433ms p95=99.887ms p99=99.887ms max=99.887ms mean=80.190ms
+  deadlines miss_rate=0.0000 met=160
+  batching  batches=40 mean_size=4.00
+  scaling   ups=0 downs=0
+  vehicles  stale_ticks=160
+"""
+
+#: ``serve --rate 200 --autoscale --seed 3``
+SERVE_RATE_AUTOSCALE = """\
+serve summary
+  config    router=least-outstanding batch=adaptive replicas=4
+  duration  10.000s simulated (10.062s to drain)
+  offered   1985
+  completed 1985 (goodput 196.68 Hz, throughput 197.28 Hz)
+  losses    dropped=0 shed=0 rejected=0 expired=0
+  latency   p50=89.125ms p95=100.000ms p99=100.000ms max=100.378ms mean=75.449ms
+  deadlines miss_rate=0.0030 met=1979
+  batching  batches=385 mean_size=5.16
+  scaling   ups=0 downs=0
+"""
+
+#: sha256 of ``fleet --rounds 2 --vehicles 4 --stage-vehicles 4
+#: --crash-canary-round 2 --json --seed 3`` (4393 bytes of JSON).
+FLEET_JSON_SHA256 = (
+    "8f8436ecfd45d9790590316d5de5ee6dd4657a892065b53a35d1ecea68885284"
+)
+
+#: ``trace serve-load --seed 0``: its summary, then the files it writes.
+TRACE_SERVE_LOAD_SUMMARY = """\
+serve summary
+  config    router=least-outstanding batch=adaptive replicas=2
+  duration  1.000s simulated (1.084s to drain)
+  offered   43
+  completed 43 (goodput 39.66 Hz, throughput 39.66 Hz)
+  losses    dropped=0 shed=0 rejected=0 expired=0
+  latency   p50=74.989ms p95=99.601ms p99=99.601ms max=99.601ms mean=68.223ms
+  deadlines miss_rate=0.0000 met=43
+  batching  batches=16 mean_size=2.69
+  scaling   ups=0 downs=0
+"""
+TRACE_SERVE_LOAD_FILES = {
+    "metrics.json":
+        "e5cf5483ce6db8b55c7ea804fd382500b1abb225e4e4a053ba0f37fa33a5744f",
+    "trace.json":
+        "54429e0771621d17e85b4fb1d12ad24da4481f307b0283dd21956dc8554d9669",
+    "trace.txt":
+        "8ed97518af40913fa5f12ab56c5856b20ed5ff00bd2ecd07d8067799bd57c40d",
+}
+
+
+class TestPinnedOutputs:
+    """Scenario CLIs print the same bytes however they are wired."""
+
+    def test_serve_vehicles(self, capsys):
+        argv = ["serve", "--vehicles", "16", "--duration", "1", "--seed", "3"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == SERVE_VEHICLES
+
+    def test_serve_rate_autoscale(self, capsys):
+        assert main(["serve", "--rate", "200", "--autoscale", "--seed", "3"]) == 0
+        assert capsys.readouterr().out == SERVE_RATE_AUTOSCALE
+
+    def test_fleet_json(self, capsys):
+        assert main([
+            "fleet", "--rounds", "2", "--vehicles", "4", "--stage-vehicles",
+            "4", "--crash-canary-round", "2", "--json", "--seed", "3",
+        ]) == 0
+        assert _sha256(capsys.readouterr().out) == FLEET_JSON_SHA256
+
+    def test_trace_serve_load(self, tmp_path, capsys):
+        out = tmp_path / "trace"
+        assert main(["trace", "serve-load", "--seed", "0", "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            TRACE_SERVE_LOAD_SUMMARY + f"spans=61 events=0 -> {out}\n"
+        )
+        for name, digest in TRACE_SERVE_LOAD_FILES.items():
+            assert _sha256((out / name).read_bytes()) == digest, name
