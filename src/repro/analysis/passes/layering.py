@@ -82,13 +82,14 @@ DEFAULT_LAYERS: dict[str, tuple[str, ...]] = {
         "testbed",
     ),
     # The evaluation harness scores whole-stack runs, so it sits at the
-    # very top: nothing below may import it (only the root modules
-    # repro.cli / repro.scenarios, which are layering-exempt, do).
+    # very top: nothing below may import it (only the layering-exempt
+    # root module repro.cli does).
     "eval": (
         "common",
         "core",
         "faults",
         "fleet",
+        "ml",
         "net",
         "obs",
         "serve",

@@ -10,20 +10,70 @@ steps — mirroring the ``donkey`` CLI the paper's students use:
 * ``autolearn evaluate`` — drive a trained model and report qualities.
 * ``autolearn pipeline`` — run a full pathway end to end.
 * ``autolearn serve`` — run a fleet inference-serving experiment.
-* ``autolearn chaos`` — play a fault-injection scenario against a fleet.
+* ``autolearn chaos`` — ``serve`` with the stock fault plan and the
+  autoscaler on.
 * ``autolearn fleet`` — run the continuous-learning continuum loop.
-* ``autolearn trace`` — run a canonical scenario with tracing attached.
+* ``autolearn trace`` — run a library scenario with tracing attached.
 * ``autolearn eval`` — score declarative scenarios against goldens.
 * ``autolearn lint`` — run the reprolint invariant checker.
+
+``pipeline``, ``serve``, ``chaos``, ``fleet`` and ``trace`` turn their
+flags into a :class:`~repro.eval.spec.ScenarioSpec` and run it through
+:func:`~repro.eval.runner.run_scenario`, the one front door every
+scenario takes.  Bad outside input (a malformed flag value or file, a
+spec the runner rejects) prints one ``error:`` line on stderr and exits
+2.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
-__all__ = ["main", "build_parser"]
+from repro.common.errors import ConfigurationError
+
+__all__ = ["main", "build_parser", "default_plan"]
+
+
+def _add_serve_arguments(p: argparse.ArgumentParser) -> None:
+    """The flags of ``serve`` (and of ``chaos``, which is ``serve``)."""
+    p.add_argument("--vehicles", type=int, default=256,
+                   help="closed-loop fleet size (20 Hz control loops)")
+    p.add_argument("--rate", type=float, default=0.0,
+                   help="open-loop Poisson rate in Hz (overrides --vehicles)")
+    p.add_argument("--replicas", type=int, default=4)
+    p.add_argument("--batch", default="adaptive",
+                   choices=["single", "size", "wait", "adaptive"])
+    p.add_argument("--router", default="least-outstanding",
+                   choices=["round-robin", "least-outstanding", "latency-ewma"])
+    p.add_argument("--queue-capacity", type=int, default=256)
+    p.add_argument("--queue-policy", default="drop",
+                   choices=["drop", "shed", "backpressure"])
+    p.add_argument("--max-batch", type=int, default=32)
+    p.add_argument("--max-wait-ms", type=float, default=8.0)
+    p.add_argument("--deadline-ms", type=float, default=100.0)
+    p.add_argument("--duration", type=float, default=10.0,
+                   help="simulated seconds of offered load")
+    p.add_argument("--gpu", default="V100",
+                   help="testbed GPU spec the replicas are pinned to")
+    p.add_argument("--model", default="none",
+                   choices=["none", "linear", "memory", "3d", "categorical",
+                            "inferred", "rnn"],
+                   help="run real batched forward passes ('none' = "
+                        "latency-only simulation)")
+    p.add_argument("--model-flops", type=float, default=1e8,
+                   help="forward-pass FLOPs per frame for the cost model")
+    p.add_argument("--faults", default="",
+                   help="JSON file holding a list of fault specs to play "
+                        "against the replicas")
+    p.add_argument("--autoscale", action="store_true",
+                   help="enable the reactive autoscaler")
+    p.add_argument("--max-replicas", type=int, default=8)
+    p.add_argument("--provision-delay", type=float, default=5.0,
+                   help="autoscale provisioning delay in seconds")
+    p.add_argument("--seed", type=int, default=0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,51 +124,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "serve", help="run a deterministic fleet inference-serving experiment"
     )
-    p.add_argument("--vehicles", type=int, default=256,
-                   help="closed-loop fleet size (20 Hz control loops)")
-    p.add_argument("--rate", type=float, default=0.0,
-                   help="open-loop Poisson rate in Hz (overrides --vehicles)")
-    p.add_argument("--replicas", type=int, default=4)
-    p.add_argument("--batch", default="adaptive",
-                   choices=["single", "size", "wait", "adaptive"])
-    p.add_argument("--router", default="least-outstanding",
-                   choices=["round-robin", "least-outstanding", "latency-ewma"])
-    p.add_argument("--queue-capacity", type=int, default=256)
-    p.add_argument("--queue-policy", default="drop",
-                   choices=["drop", "shed", "backpressure"])
-    p.add_argument("--max-batch", type=int, default=32)
-    p.add_argument("--max-wait-ms", type=float, default=8.0)
-    p.add_argument("--deadline-ms", type=float, default=100.0)
-    p.add_argument("--duration", type=float, default=10.0,
-                   help="simulated seconds of offered load")
-    p.add_argument("--gpu", default="V100",
-                   help="testbed GPU spec the replicas are pinned to")
-    p.add_argument("--model", default="none",
-                   choices=["none", "linear", "memory", "3d", "categorical",
-                            "inferred", "rnn"],
-                   help="run real batched forward passes ('none' = "
-                        "latency-only simulation)")
-    p.add_argument("--model-flops", type=float, default=1e8,
-                   help="forward-pass FLOPs per frame for the cost model")
-    p.add_argument("--autoscale", action="store_true",
-                   help="enable the reactive autoscaler")
-    p.add_argument("--max-replicas", type=int, default=8)
-    p.add_argument("--provision-delay", type=float, default=5.0,
-                   help="autoscale provisioning delay in seconds")
-    p.add_argument("--seed", type=int, default=0)
+    _add_serve_arguments(p)
 
     p = sub.add_parser(
-        "chaos", help="play a deterministic fault-injection scenario"
+        "chaos",
+        help="serve under the stock fault plan (or --faults) with the "
+             "autoscaler on",
     )
-    p.add_argument("--scenario", default="",
-                   help="JSON scenario file (defaults to the stock plan)")
-    p.add_argument("--vehicles", type=int, default=0,
-                   help="override the scenario's fleet size")
-    p.add_argument("--replicas", type=int, default=0,
-                   help="override the scenario's replica count")
-    p.add_argument("--duration", type=float, default=0.0,
-                   help="override the scenario's simulated duration")
-    p.add_argument("--seed", type=int, default=0)
+    _add_serve_arguments(p)
+    # The fleet shape the stock plan was written for: a replacement
+    # replica provisions in time to serve before the run ends.
+    p.set_defaults(vehicles=64, replicas=3, provision_delay=1.0)
 
     p = sub.add_parser(
         "fleet",
@@ -144,11 +160,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "trace",
-        help="run a canonical scenario with deterministic tracing attached",
+        help="run a library scenario with deterministic tracing attached",
     )
-    from repro.scenarios import TRACE_SCENARIOS
-
-    p.add_argument("scenario", choices=list(TRACE_SCENARIOS))
+    p.add_argument("scenario", metavar="NAME",
+                   help="a repro.eval.library scenario (see autolearn eval "
+                        "--list)")
     p.add_argument("--out", default="./autolearn-trace",
                    help="directory for trace.json / trace.txt / metrics.json")
     p.add_argument("--seed", type=int, default=0)
@@ -172,8 +188,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _camera_hw(spec: str) -> tuple[int, int]:
-    h, w = (int(v) for v in spec.split("x"))
+    try:
+        h, w = (int(v) for v in spec.split("x"))
+    except ValueError:
+        raise ConfigurationError(
+            f"--camera takes HEIGHTxWIDTH, like 48x64; got {spec!r}"
+        ) from None
     return h, w
+
+
+def _run(name: str, kind: str, params: dict, seed: int, **kwargs):
+    """Run a spec built from command-line flags."""
+    from repro.eval.runner import run_scenario
+    from repro.eval.spec import ScenarioSpec
+
+    return run_scenario(ScenarioSpec(name, kind, params), seed=seed, **kwargs)
 
 
 def _cmd_tracks(_args) -> int:
@@ -271,13 +300,15 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    from repro.core.pipeline import AutoLearnPipeline
-
-    pipe = AutoLearnPipeline(
-        args.pathway, Path(args.workdir), n_records=args.records,
-        epochs=args.epochs, seed=args.seed,
-    )
-    report = pipe.run()
+    report = _run("pipeline", "pipeline", {
+        "pathway": args.pathway,
+        "n_records": args.records,
+        "epochs": args.epochs,
+        # Full-size frames, model and evaluation, not the library's toy.
+        "camera_hw": [60, 80],
+        "model_scale": 0.5,
+        "eval_ticks": 800,
+    }, args.seed, work_dir=args.workdir, instrument=False).artifacts["report"]
     for stage in report.stages:
         print(f"{stage.stage:12s} {stage.alternative:14s} "
               f"{stage.sim_seconds:9.1f} s  {stage.details}")
@@ -287,143 +318,131 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    from repro.serve import (
-        AutoscalePolicy,
-        Autoscaler,
-        BatchLatencyModel,
-        InferenceService,
-        PoissonWorkload,
-        VehicleFleetWorkload,
-    )
-    from repro.testbed.hardware import GPU_SPECS
-
-    if args.gpu not in GPU_SPECS:
-        print(f"unknown GPU {args.gpu!r}; choose from {sorted(GPU_SPECS)}")
-        return 2
-    latency_model = BatchLatencyModel.from_gpu(
-        GPU_SPECS[args.gpu], flops_per_frame=args.model_flops
-    )
-    model = None
-    frame_shape = None
-    if args.model != "none":
-        from repro.ml import create_model
-
-        frame_shape = (48, 64, 3)
-        model = create_model(
-            args.model, input_shape=frame_shape, scale=0.25, seed=args.seed
-        )
-    service = InferenceService(
-        latency_model,
-        model=model,
-        n_replicas=args.replicas,
-        router=args.router,
-        batch_policy=args.batch,
-        max_batch=args.max_batch,
-        max_wait_s=args.max_wait_ms / 1e3,
-        queue_capacity=args.queue_capacity,
-        queue_policy=args.queue_policy,
-        seed=args.seed,
-    )
+def _serve_params(args, faults: list) -> dict:
     deadline_s = args.deadline_ms / 1e3
     if args.rate > 0:
-        workload = PoissonWorkload(
-            args.rate, deadline_s=deadline_s, seed=args.seed,
-            frame_shape=frame_shape,
-        )
+        workload = {
+            "shape": "poisson", "rate_hz": args.rate, "deadline_s": deadline_s,
+        }
     else:
-        workload = VehicleFleetWorkload(
-            args.vehicles, deadline_ticks=max(1, round(deadline_s / 0.05)),
-            seed=args.seed, frame_shape=frame_shape,
-        )
-    autoscaler = None
+        workload = {
+            "shape": "vehicles",
+            "n_vehicles": args.vehicles,
+            # Vehicles tick at 20 Hz: the deadline in whole ticks.
+            "deadline_ticks": max(1, round(deadline_s / 0.05)),
+        }
+    params = {
+        "duration_s": args.duration,
+        "service": {
+            "replicas": args.replicas,
+            "router": args.router,
+            "batch_policy": args.batch,
+            "max_batch": args.max_batch,
+            "max_wait_s": args.max_wait_ms / 1e3,
+            "queue_capacity": args.queue_capacity,
+            "queue_policy": args.queue_policy,
+            "gpu": args.gpu,
+            "flops_per_frame": args.model_flops,
+            "model": args.model,
+        },
+        "workload": workload,
+        "faults": faults,
+    }
     if args.autoscale:
-        autoscaler = Autoscaler(service, AutoscalePolicy(
-            min_replicas=args.replicas, max_replicas=args.max_replicas,
-            p95_target_s=deadline_s, provision_delay_s=args.provision_delay,
-        ))
-    summary = service.run(workload, args.duration, autoscaler=autoscaler)
-    print(summary.to_text(), end="")
+        params["autoscale"] = {
+            "min_replicas": args.replicas,
+            "max_replicas": args.max_replicas,
+            "p95_target_s": deadline_s,
+            "provision_delay_s": args.provision_delay,
+        }
+    return params
+
+
+def _read_faults(path: str):
+    try:
+        return json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read --faults {path!r}: {exc}") from None
+
+
+def _cmd_serve(args, faults: list | None = None) -> int:
+    if args.faults:
+        faults = _read_faults(args.faults)
+    run = _run(args.command, "serve", _serve_params(args, faults or []),
+               args.seed, instrument=False)
+    print(run.summary, end="")
     return 0
+
+
+def default_plan(replicas: int):
+    """The stock chaos plan: one slow-node window, one hang, one crash."""
+    from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
+
+    if replicas < 1:
+        raise ConfigurationError(f"need >= 1 replica, got {replicas}")
+    specs = [
+        FaultSpec(FaultKind.SLOW_NODE, "replica-*", at_s=2.0,
+                  duration_s=2.0, factor=4.0),
+        FaultSpec(FaultKind.REPLICA_HANG, "replica:any", at_s=3.0,
+                  duration_s=1.5),
+    ]
+    if replicas > 1:
+        specs.append(FaultSpec(FaultKind.REPLICA_CRASH, "replica:any", at_s=5.0))
+    return FaultPlan(specs)
 
 
 def _cmd_chaos(args) -> int:
-    import dataclasses
-    import json
-
-    from repro.serve import ChaosScenario, default_plan, run_chaos
-
-    if args.scenario:
-        payload = json.loads(Path(args.scenario).read_text())
-        scenario = ChaosScenario.from_dict(payload)
-    else:
-        replicas = args.replicas or 3
-        scenario = ChaosScenario(replicas=replicas, plan=default_plan(replicas))
-    overrides = {}
-    if args.vehicles > 0:
-        overrides["vehicles"] = args.vehicles
-    if args.replicas > 0:
-        overrides["replicas"] = args.replicas
-    if args.duration > 0:
-        overrides["duration_s"] = args.duration
-    if overrides:
-        scenario = dataclasses.replace(scenario, **overrides)
-    summary = run_chaos(scenario, seed=args.seed)
-    print(summary.to_text(), end="")
-    return 0
+    args.autoscale = True
+    return _cmd_serve(args, default_plan(args.replicas).to_dicts())
 
 
 def _cmd_fleet(args) -> int:
-    import json
+    from repro.fleet import FleetConfig
 
-    from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
-    from repro.fleet import FleetConfig, FleetLoop
-
-    canary_fault_plans = ()
+    params = {
+        "rounds": args.rounds,
+        "n_vehicles": args.vehicles,
+        "stage_vehicles": args.stage_vehicles,
+        "canary_fraction": args.canary_fraction,
+        "poison_rounds": [args.poison_round] if args.poison_round > 0 else [],
+    }
     if args.crash_canary_round > 0:
         # The canary replica is the one added after the stable replicas;
         # with the default two stable replicas that is replica-0003.
         stable = FleetConfig().stable_replicas
-        crash = FaultPlan([
-            FaultSpec(
-                FaultKind.REPLICA_CRASH,
-                f"replica-{stable + 1:04d}",
-                at_s=0.1,
-            ),
-        ])
-        canary_fault_plans = ((args.crash_canary_round, crash),)
-    config = FleetConfig(
-        rounds=args.rounds,
-        n_vehicles=args.vehicles,
-        stage_vehicles=args.stage_vehicles,
-        canary_fraction=args.canary_fraction,
-        poison_rounds=(args.poison_round,) if args.poison_round > 0 else (),
-        canary_fault_plans=canary_fault_plans,
-        seed=args.seed,
-    )
-    summary = FleetLoop(config).run()
+        params["canary_fault_plans"] = [{
+            "round": args.crash_canary_round,
+            "faults": [{
+                "kind": "replica-crash",
+                "target": f"replica-{stable + 1:04d}",
+                "at_s": 0.1,
+            }],
+        }]
+    run = _run("fleet", "fleet", params, args.seed, instrument=False)
     if args.json:
-        print(json.dumps(summary.to_dict(), indent=2, sort_keys=True))
+        print(json.dumps(
+            run.artifacts["summary"].to_dict(), indent=2, sort_keys=True
+        ))
     else:
-        print(summary.to_text(), end="")
+        print(run.summary, end="")
     return 0
 
 
 def _cmd_trace(args) -> int:
+    from repro.eval.library import scenario_spec
+    from repro.eval.runner import run_scenario
     from repro.obs.export import chrome_trace, text_tree
-    from repro.scenarios import run_trace_scenario
 
+    spec = scenario_spec(args.scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    result = run_trace_scenario(
-        args.scenario, seed=args.seed, work_dir=out / "work"
-    )
-    (out / "trace.json").write_text(chrome_trace(result.tracer))
-    (out / "trace.txt").write_text(text_tree(result.tracer))
-    (out / "metrics.json").write_text(result.metrics.to_json())
-    print(result.summary, end="")
-    print(f"spans={len(result.tracer.spans)} "
-          f"events={len(result.tracer.events)} -> {out}")
+    run = run_scenario(spec, seed=args.seed, work_dir=out / "work")
+    (out / "trace.json").write_text(chrome_trace(run.tracer))
+    (out / "trace.txt").write_text(text_tree(run.tracer))
+    (out / "metrics.json").write_text(run.metrics.to_json())
+    print(run.summary, end="")
+    print(f"spans={len(run.tracer.spans)} "
+          f"events={len(run.tracer.events)} -> {out}")
     return 0
 
 
@@ -458,7 +477,11 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point."""
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except ConfigurationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

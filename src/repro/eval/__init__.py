@@ -7,7 +7,8 @@ The evaluation harness every behavior-affecting PR is scored by:
 * :mod:`repro.eval.library` — the canonical named scenarios plus the
   generated fleet ⊗ faults ⊗ net matrix;
 * :mod:`repro.eval.runner` — interprets a spec into a full run on the
-  simulated clock;
+  simulated clock; :func:`run_scenario` is the one front door every
+  scenario (library, CLI, benchmark) takes;
 * :mod:`repro.eval.scorecard` — the :class:`Evaluator` producing
   canonical, per-seed byte-identical :class:`ScoreCard` JSON;
 * :mod:`repro.eval.metrics` / :mod:`repro.eval.mot` — driving-quality

@@ -112,12 +112,8 @@ def run_eval_command(args) -> int:
             else:
                 failures += 1
                 print(f"DIFF  {spec.name} seed={seed}")
-                for mine, theirs in zip(
-                    text.splitlines(), golden.splitlines()
-                ):
-                    if mine != theirs:
-                        print(f"  - {theirs.strip()}")
-                        print(f"  + {mine.strip()}")
+                for line in card.diff(golden):
+                    print(f"  {line}")
     if failures:
         print(f"{failures} scorecard(s) diverged")
         return 1

@@ -26,9 +26,28 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError
 from repro.common.rng import ensure_rng, seed_from_name
+from repro.eval.spec import resolve_params
 from repro.sim.session import LapStats
 
-__all__ = ["GreedyTracker", "DriveArtifacts", "run_drive"]
+__all__ = ["DRIVE_PARAMS", "GreedyTracker", "DriveArtifacts", "run_drive"]
+
+#: ``drive`` params: name -> default; ``perception`` is a nested group
+#: holding the :class:`GreedyTracker` dials plus the MOT match radius.
+DRIVE_PARAMS: dict = {
+    "track": "default-tape-oval",
+    "n_vehicles": 4,
+    "ticks": 240,
+    "dt": 0.05,
+    "skill": 0.85,
+    "steering_noise": 0.0,
+    "perception": {
+        "noise_m": 0.06,
+        "dropout": 0.04,
+        "gate_m": 0.8,
+        "max_coast": 3,
+        "match_radius_m": 0.5,
+    },
+}
 
 
 class GreedyTracker:
@@ -142,14 +161,15 @@ def run_drive(
     from repro.sim.server import make_track
     from repro.sim.session import DrivingSession
 
-    track_name = str(params.get("track", "default-tape-oval"))
+    params = resolve_params(params, DRIVE_PARAMS, f"drive spec {name!r} params")
+    track_name = str(params["track"])
     track = make_track(track_name)
-    n_vehicles = int(params.get("n_vehicles", 4))
-    ticks = int(params.get("ticks", 240))
-    dt = float(params.get("dt", 0.05))
-    skill = float(params.get("skill", 0.85))
-    noise_amp = float(params.get("steering_noise", 0.0))
-    perception = dict(params.get("perception", {}))
+    n_vehicles = int(params["n_vehicles"])
+    ticks = int(params["ticks"])
+    dt = float(params["dt"])
+    skill = float(params["skill"])
+    noise_amp = float(params["steering_noise"])
+    perception = params["perception"]
     if n_vehicles < 1 or ticks < 1:
         raise ConfigurationError("need >= 1 vehicle and >= 1 tick")
 
@@ -173,10 +193,10 @@ def run_drive(
         drivers.append(driver)
     disturbance = ensure_rng(seed_from_name("drive-disturbance", seed))
     tracker = GreedyTracker(
-        noise_m=float(perception.get("noise_m", 0.06)),
-        dropout=float(perception.get("dropout", 0.04)),
-        gate_m=float(perception.get("gate_m", 0.8)),
-        max_coast=int(perception.get("max_coast", 3)),
+        noise_m=float(perception["noise_m"]),
+        dropout=float(perception["dropout"]),
+        gate_m=float(perception["gate_m"]),
+        max_coast=int(perception["max_coast"]),
         seed=seed_from_name("drive-perception", seed),
     )
     artifacts = DriveArtifacts(
@@ -184,7 +204,7 @@ def run_drive(
         n_vehicles=n_vehicles,
         ticks=ticks,
         dt=dt,
-        match_radius_m=float(perception.get("match_radius_m", 0.5)),
+        match_radius_m=float(perception["match_radius_m"]),
     )
 
     def tick() -> None:

@@ -2,17 +2,18 @@
 
 Holds the declarative form of every named scenario:
 
-* the four trace scenarios from :mod:`repro.scenarios`, re-expressed as
-  :class:`~repro.eval.spec.ScenarioSpec` values whose runs are
-  byte-identical to the historical hand-coded ones (the golden-trace
-  suite holds either way);
+* the four traced scenarios the golden-trace suite pins —
+  ``pipeline-quickstart``, ``serve-load``, ``chaos-crash`` (a crash and
+  a hang played against two replicas: a ``serve`` spec with ``faults``)
+  and ``fleet-canary-chaos``;
 * ``drive-mot`` — a multi-vehicle drive world scored with lap/CTE/MOT
-  metrics (evaluation-only; not part of ``TRACE_SCENARIOS``);
+  metrics;
 * a generated matrix — fleet size ⊗ fault plan ⊗ network profile over
   a closed-loop serving base — built by composing named override deltas
   (:data:`MATRIX_AXES`) onto :data:`MATRIX_BASE`, Hydra-style.
 
-Everything here is data; :mod:`repro.eval.runner` interprets it.
+Everything here is data; :mod:`repro.eval.runner` interprets it, and
+``autolearn trace NAME`` runs any of these names with tracing attached.
 """
 
 from __future__ import annotations
@@ -68,7 +69,7 @@ def _spec(name: str, kind: str, params: dict) -> ScenarioSpec:
     return ScenarioSpec(name=name, kind=kind, params=params)
 
 
-#: The four historical trace scenarios plus ``drive-mot``, as specs.
+#: The four traced scenarios plus ``drive-mot``, as specs.
 BASE_SPECS: dict[str, ScenarioSpec] = {
     spec.name: spec
     for spec in (
@@ -110,28 +111,38 @@ BASE_SPECS: dict[str, ScenarioSpec] = {
         ),
         _spec(
             "chaos-crash",
-            "chaos",
+            "serve",
             {
-                "scenario": {
-                    "name": "chaos-crash",
-                    "duration_s": 6.0,
-                    "vehicles": 16,
+                "duration_s": 6.0,
+                "service": {
                     "replicas": 2,
-                    "autoscale": False,
-                    "faults": [
-                        {
-                            "kind": "replica-crash",
-                            "target": "replica:any",
-                            "at_s": 2.0,
-                        },
-                        {
-                            "kind": "replica-hang",
-                            "target": "replica:any",
-                            "at_s": 3.0,
-                            "duration_s": 1.0,
-                        },
-                    ],
+                    "router": "least-outstanding",
+                    "batch_policy": "adaptive",
+                    "queue_capacity": 256,
+                    "queue_policy": "drop",
+                    "gpu": "V100",
+                    "flops_per_frame": 1e8,
                 },
+                "workload": {
+                    "shape": "vehicles",
+                    "n_vehicles": 16,
+                    "deadline_ticks": 4,
+                },
+                "net": "lan",
+                "faults": [
+                    {
+                        "kind": "replica-crash",
+                        "target": "replica:any",
+                        "at_s": 2.0,
+                    },
+                    {
+                        "kind": "replica-hang",
+                        "target": "replica:any",
+                        "at_s": 3.0,
+                        "duration_s": 1.0,
+                    },
+                ],
+                "trace_requests": False,
             },
         ),
         _spec(

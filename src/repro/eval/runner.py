@@ -1,10 +1,17 @@
 """Interpret a :class:`~repro.eval.spec.ScenarioSpec`: build, wire, run.
 
-One generic runner per scenario *kind*.  Each builds the same object
-graph, in the same order, with the same values as the historical
-hand-coded runners in :mod:`repro.scenarios` — which is what keeps the
-obs/fleet golden traces byte-identical now that those scenarios are
-just named specs interpreted here.
+One generic runner per scenario *kind*, and the one front door every
+scenario takes: the library's named specs, the ``autolearn`` commands
+that turn their flags into a spec, and the benchmark all call
+:func:`run_scenario`.
+
+Each kind declares its params once, names and defaults in one table
+(:data:`PIPELINE_PARAMS`, :data:`SERVE_PARAMS`,
+:data:`~repro.eval.drive.DRIVE_PARAMS`, and for ``fleet`` the fields of
+:class:`~repro.fleet.FleetConfig` itself).  A key the table does not
+know, at any nesting level, raises
+:class:`~repro.common.errors.ConfigurationError` before anything runs,
+so a misspelled key never silently runs the default.
 
 ``instrument=False`` swaps the :class:`~repro.obs.tracer.Tracer` for a
 :class:`~repro.obs.tracer.NullTracer` and drops the metrics registry;
@@ -15,19 +22,67 @@ the property suite pins.
 from __future__ import annotations
 
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any
 
 from repro.common.clock import EventScheduler
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, NoSuchResourceError
 from repro.eval.drive import run_drive
 from repro.eval.library import net_route
-from repro.eval.spec import ScenarioSpec
+from repro.eval.spec import ScenarioSpec, check_keys, resolve_params
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NullTracer, Tracer
 
-__all__ = ["ScenarioRun", "run_scenario"]
+__all__ = ["PIPELINE_PARAMS", "SERVE_PARAMS", "ScenarioRun", "run_scenario"]
+
+#: ``pipeline`` params: name -> default.
+PIPELINE_PARAMS: dict[str, Any] = {
+    "pathway": "digital",
+    "n_records": 80,
+    "epochs": 1,
+    "camera_hw": [24, 32],
+    "model_scale": 0.25,
+    "eval_ticks": 60,
+}
+
+#: ``serve`` params: name -> default; a dict default is a nested group.
+#: ``workload`` holds the keys of both shapes (``poisson`` reads
+#: ``rate_hz``/``deadline_s``, ``vehicles`` reads ``n_vehicles``/
+#: ``deadline_ticks``).  ``service.model`` names a :mod:`repro.ml` model
+#: whose real batched forward passes answer the requests (``"none"``
+#: simulates latency only).  ``autoscale`` holds
+#: :class:`~repro.serve.autoscale.AutoscalePolicy` fields; the
+#: autoscaler is off while it is ``None``.
+SERVE_PARAMS: dict[str, Any] = {
+    "duration_s": 1.0,
+    "service": {
+        "replicas": 1,
+        "router": "least-outstanding",
+        "batch_policy": "adaptive",
+        "max_batch": 32,
+        "max_wait_s": 0.008,
+        "queue_capacity": 256,
+        "queue_policy": "drop",
+        "gpu": "V100",
+        "flops_per_frame": 1e8,
+        "model": "none",
+    },
+    "workload": {
+        "shape": "poisson",
+        "rate_hz": 50.0,
+        "deadline_s": 0.1,
+        "n_vehicles": 16,
+        "deadline_ticks": 2,
+    },
+    "net": "lan",
+    "faults": [],
+    "trace_requests": False,
+    "autoscale": None,
+}
+
+#: Frames a serve run with a real ``service.model`` feeds it.
+_MODEL_FRAME_SHAPE = (48, 64, 3)
 
 
 @dataclass
@@ -48,24 +103,34 @@ def _instrumentation(clock, instrument: bool):
     return NullTracer(), None
 
 
+def _where(spec: ScenarioSpec) -> str:
+    return f"{spec.kind} spec {spec.name!r} params"
+
+
+def _build(cls, values, where: str, **fixed):
+    """``cls(**values, **fixed)``; a key ``cls`` does not declare raises."""
+    check_keys(values, {f.name for f in fields(cls)} - set(fixed), where)
+    return cls(**values, **fixed)
+
+
 def _run_pipeline(
     spec: ScenarioSpec, seed: int, work_dir: Path, instrument: bool
 ) -> ScenarioRun:
     from repro.core.pipeline import AutoLearnPipeline
     from repro.testbed.chameleon import Chameleon
 
-    params = spec.params
+    params = resolve_params(spec.params, PIPELINE_PARAMS, _where(spec))
     chameleon = Chameleon()
     tracer, metrics = _instrumentation(chameleon.clock, instrument)
-    pathway = str(params.get("pathway", "digital"))
+    pathway = str(params["pathway"])
     pipeline = AutoLearnPipeline(
         pathway,
         work_dir,
-        n_records=int(params.get("n_records", 80)),
-        epochs=int(params.get("epochs", 1)),
-        camera_hw=tuple(params.get("camera_hw", [24, 32])),
-        model_scale=float(params.get("model_scale", 0.25)),
-        eval_ticks=int(params.get("eval_ticks", 60)),
+        n_records=int(params["n_records"]),
+        epochs=int(params["epochs"]),
+        camera_hw=tuple(params["camera_hw"]),
+        model_scale=float(params["model_scale"]),
+        eval_ticks=int(params["eval_ticks"]),
         seed=seed,
         chameleon=chameleon,
         tracer=tracer if instrument else None,
@@ -86,21 +151,23 @@ def _run_pipeline(
     )
 
 
-def _make_workload(workload_params: dict, seed: int):
+def _make_workload(workload_params: dict, seed: int, frame_shape):
     from repro.serve.workload import PoissonWorkload, VehicleFleetWorkload
 
-    shape = str(workload_params.get("shape", "poisson"))
+    shape = str(workload_params["shape"])
     if shape == "poisson":
         return PoissonWorkload(
-            float(workload_params.get("rate_hz", 50.0)),
-            deadline_s=float(workload_params.get("deadline_s", 0.1)),
+            float(workload_params["rate_hz"]),
+            deadline_s=float(workload_params["deadline_s"]),
             seed=seed,
+            frame_shape=frame_shape,
         )
     if shape == "vehicles":
         return VehicleFleetWorkload(
-            int(workload_params.get("n_vehicles", 16)),
-            deadline_ticks=int(workload_params.get("deadline_ticks", 2)),
+            int(workload_params["n_vehicles"]),
+            deadline_ticks=int(workload_params["deadline_ticks"]),
             seed=seed,
+            frame_shape=frame_shape,
         )
     raise ConfigurationError(
         f"unknown workload shape {shape!r}; choose poisson or vehicles"
@@ -110,41 +177,64 @@ def _make_workload(workload_params: dict, seed: int):
 def _run_serve(spec: ScenarioSpec, seed: int, instrument: bool) -> ScenarioRun:
     from repro.faults.injector import FaultInjector
     from repro.faults.plan import FaultPlan
+    from repro.serve.autoscale import AutoscalePolicy, Autoscaler
     from repro.serve.replica import BatchLatencyModel
     from repro.serve.service import InferenceService
     from repro.testbed.hardware import gpu_spec
 
-    params = spec.params
+    where = _where(spec)
+    params = resolve_params(spec.params, SERVE_PARAMS, where)
+    service_params = params["service"]
     scheduler = EventScheduler()
     tracer, metrics = _instrumentation(scheduler.clock, instrument)
-    service_params = dict(params.get("service", {}))
-    plan = FaultPlan.from_dicts(params.get("faults", []))
+    plan = FaultPlan.from_dicts(params["faults"])
     injector = None
     if len(plan):
         injector = FaultInjector(
             plan, seed=seed, tracer=tracer if instrument else None
         )
+    try:
+        gpu = gpu_spec(str(service_params["gpu"]))
+    except NoSuchResourceError as exc:
+        raise ConfigurationError(f"{where}.service: {exc.args[0]}") from None
     latency_model = BatchLatencyModel.from_gpu(
-        gpu_spec(str(service_params.get("gpu", "V100"))),
-        flops_per_frame=float(service_params.get("flops_per_frame", 1e8)),
+        gpu, flops_per_frame=float(service_params["flops_per_frame"])
     )
+    model = frame_shape = None
+    if service_params["model"] != "none":
+        from repro.ml import create_model
+
+        frame_shape = _MODEL_FRAME_SHAPE
+        model = create_model(
+            str(service_params["model"]), input_shape=frame_shape,
+            scale=0.25, seed=seed,
+        )
     service = InferenceService(
         latency_model,
         scheduler=scheduler,
-        n_replicas=int(service_params.get("replicas", 1)),
-        router=str(service_params.get("router", "least-outstanding")),
-        batch_policy=str(service_params.get("batch_policy", "adaptive")),
-        queue_capacity=int(service_params.get("queue_capacity", 256)),
-        queue_policy=str(service_params.get("queue_policy", "drop")),
-        route=net_route(str(params.get("net", "lan"))),
+        model=model,
+        n_replicas=int(service_params["replicas"]),
+        router=str(service_params["router"]),
+        batch_policy=str(service_params["batch_policy"]),
+        max_batch=int(service_params["max_batch"]),
+        max_wait_s=float(service_params["max_wait_s"]),
+        queue_capacity=int(service_params["queue_capacity"]),
+        queue_policy=str(service_params["queue_policy"]),
+        route=net_route(str(params["net"])),
         seed=seed,
         injector=injector,
         tracer=tracer if instrument else None,
         metrics=metrics,
-        trace_requests=bool(params.get("trace_requests", False)),
+        trace_requests=bool(params["trace_requests"]),
     )
-    workload = _make_workload(dict(params.get("workload", {})), seed)
-    summary = service.run(workload, float(params.get("duration_s", 1.0)))
+    workload = _make_workload(params["workload"], seed, frame_shape)
+    autoscaler = None
+    if params["autoscale"] is not None:
+        policy = _build(AutoscalePolicy, params["autoscale"], f"{where}.autoscale")
+        autoscaler = Autoscaler(service, policy)
+    summary = service.run(
+        workload, float(params["duration_s"]), autoscaler=autoscaler
+    )
     tracer.close_all()
     return ScenarioRun(
         spec, seed, tracer, metrics, summary.to_text(),
@@ -152,43 +242,28 @@ def _run_serve(spec: ScenarioSpec, seed: int, instrument: bool) -> ScenarioRun:
     )
 
 
-def _run_chaos(spec: ScenarioSpec, seed: int, instrument: bool) -> ScenarioRun:
-    from repro.serve.chaos import ChaosScenario, run_chaos
-
-    scheduler = EventScheduler()
-    tracer, metrics = _instrumentation(scheduler.clock, instrument)
-    scenario = ChaosScenario.from_dict(dict(spec.params.get("scenario", {})))
-    summary = run_chaos(
-        scenario,
-        seed=seed,
-        tracer=tracer if instrument else None,
-        metrics=metrics,
-        scheduler=scheduler,
-    )
-    tracer.close_all()
-    return ScenarioRun(
-        spec, seed, tracer, metrics, summary.to_text(), {"summary": summary}
-    )
-
-
 def _run_fleet(spec: ScenarioSpec, seed: int, instrument: bool) -> ScenarioRun:
     from repro.faults.plan import FaultPlan
     from repro.fleet import FleetConfig, FleetLoop, GateThresholds
 
+    where = _where(spec)
     params = dict(spec.params)
+    params["gates"] = _build(
+        GateThresholds, params.get("gates", {}), f"{where}.gates"
+    )
+    plans = []
+    for index, entry in enumerate(params.get("canary_fault_plans", [])):
+        entry_where = f"{where}.canary_fault_plans[{index}]"
+        check_keys(entry, ("round", "faults"), entry_where)
+        if set(entry) != {"round", "faults"}:
+            raise ConfigurationError(f"{entry_where} needs both round and faults")
+        plans.append((int(entry["round"]), FaultPlan.from_dicts(entry["faults"])))
+    params["canary_fault_plans"] = tuple(plans)
+    if params.get("store_fault_plan") is not None:
+        params["store_fault_plan"] = FaultPlan.from_dicts(params["store_fault_plan"])
+    config = _build(FleetConfig, params, where, seed=seed)
     scheduler = EventScheduler()
     tracer, metrics = _instrumentation(scheduler.clock, instrument)
-    gates = GateThresholds(**dict(params.pop("gates", {})))
-    plans = tuple(
-        (int(entry["round"]), FaultPlan.from_dicts(entry["faults"]))
-        for entry in params.pop("canary_fault_plans", [])
-    )
-    try:
-        config = FleetConfig(
-            gates=gates, canary_fault_plans=plans, seed=seed, **params
-        )
-    except TypeError as exc:
-        raise ConfigurationError(f"bad fleet spec {spec.name!r}: {exc}") from None
     loop = FleetLoop(
         config,
         scheduler=scheduler,
@@ -236,8 +311,6 @@ def run_scenario(
             return _run_pipeline(spec, seed, Path(tmp), instrument)
     if spec.kind == "serve":
         return _run_serve(spec, seed, instrument)
-    if spec.kind == "chaos":
-        return _run_chaos(spec, seed, instrument)
     if spec.kind == "fleet":
         return _run_fleet(spec, seed, instrument)
     if spec.kind == "drive":

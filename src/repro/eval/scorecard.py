@@ -5,9 +5,8 @@ The :class:`Evaluator` turns a finished
 nested ``group -> metric -> value`` dict of plain JSON scalars scored
 entirely on the simulated clock.  Groups are per scenario kind:
 
-* ``slo`` / ``losses`` / ``staleness`` for serving kinds (serve,
-  chaos), including deadline attainment and the stale-command ratio;
-* ``faults`` for chaos (planned/started/cleared);
+* ``slo`` / ``losses`` / ``staleness`` for serve runs, faulted or not,
+  including deadline attainment and the stale-command ratio;
 * ``fleet`` for continuum-loop runs (promotions, rollbacks, data
   volumes, mean promotion latency);
 * ``pipeline`` for pathway runs (per-stage simulated seconds);
@@ -22,6 +21,7 @@ shows up as a one-line JSON diff against the checked-in golden.
 
 from __future__ import annotations
 
+import difflib
 from dataclasses import dataclass
 from typing import Any
 
@@ -80,37 +80,28 @@ class ScoreCard:
         """The canonical byte form golden files store and tests pin."""
         return canonical_json(self.to_dict())
 
-    def diff(self, other: "ScoreCard") -> list[str]:
-        """Human-readable per-line differences against ``other``."""
-        mine = self.to_json().splitlines()
-        theirs = other.to_json().splitlines()
-        out = []
-        for line in theirs:
-            if line not in mine:
-                out.append(f"- {line.strip()}")
-        for line in mine:
-            if line not in theirs:
-                out.append(f"+ {line.strip()}")
-        return out
+    def diff(self, golden: str) -> list[str]:
+        """Unified diff from a golden's canonical text to this card's."""
+        return list(
+            difflib.unified_diff(
+                golden.splitlines(),
+                self.to_json().splitlines(),
+                fromfile="golden",
+                tofile="current",
+                lineterm="",
+            )
+        )
 
 
 def _serve_groups(summary, slo, workload) -> dict[str, dict]:
-    """slo / losses / staleness groups shared by serve and chaos runs."""
+    """The slo / losses / staleness groups of one serve run."""
     losses = summary.dropped + summary.shed + summary.rejected + summary.expired
     groups = {
         "slo": {
             "offered": summary.offered,
             "completed": summary.completed,
             "deadline_met": summary.deadline_met,
-            "deadline_attainment": (
-                slo.deadline_attainment
-                if slo is not None
-                else (
-                    summary.deadline_met / summary.completed
-                    if summary.completed
-                    else 1.0
-                )
-            ),
+            "deadline_attainment": slo.deadline_attainment,
             "deadline_miss_rate": summary.deadline_miss_rate,
             "goodput_hz": summary.goodput_hz,
             "throughput_hz": summary.throughput_hz,
@@ -128,9 +119,7 @@ def _serve_groups(summary, slo, workload) -> dict[str, dict]:
         },
         "staleness": {
             "stale_ticks": summary.stale_ticks,
-            "stale_ratio": (
-                getattr(workload, "stale_ratio", 0.0) if workload else 0.0
-            ),
+            "stale_ratio": getattr(workload, "stale_ratio", 0.0),
         },
     }
     return groups
@@ -145,11 +134,9 @@ class Evaluator:
         if kind == "serve":
             groups = _serve_groups(
                 run.artifacts["summary"],
-                run.artifacts.get("slo"),
-                run.artifacts.get("workload"),
+                run.artifacts["slo"],
+                run.artifacts["workload"],
             )
-        elif kind == "chaos":
-            groups = self._chaos_groups(run.artifacts["summary"])
         elif kind == "fleet":
             groups = self._fleet_groups(run.artifacts["summary"])
         elif kind == "pipeline":
@@ -170,26 +157,6 @@ class Evaluator:
         )
 
     # ------------------------------------------------------- per kind
-
-    def _chaos_groups(self, summary) -> dict[str, dict]:
-        groups = _serve_groups(summary.serve, None, None)
-        groups["staleness"] = {
-            "stale_ticks": summary.serve.stale_ticks,
-            "stale_ratio": summary.stale_ratio,
-            "fresh_response_ratio": summary.fresh_response_ratio,
-            "max_stale_streak": summary.max_stale_streak,
-            "lost_responses": summary.lost_responses,
-        }
-        groups["faults"] = {
-            "planned": summary.planned,
-            "started": summary.started,
-            "cleared": summary.cleared,
-            "crashes": summary.serve.crashes,
-            "hangs": summary.serve.hangs,
-            "requeued": summary.serve.requeued,
-            "conserved": summary.conserved,
-        }
-        return groups
 
     def _fleet_groups(self, summary) -> dict[str, dict]:
         return {

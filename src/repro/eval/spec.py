@@ -37,10 +37,12 @@ __all__ = [
     "merge_overrides",
     "apply_overrides",
     "canonical_json",
+    "check_keys",
+    "resolve_params",
 ]
 
 #: Scenario kinds understood by :mod:`repro.eval.runner`.
-SCENARIO_KINDS = ("pipeline", "serve", "chaos", "fleet", "drive")
+SCENARIO_KINDS = ("pipeline", "serve", "fleet", "drive")
 
 _JSON_SCALARS = (str, int, float, bool, type(None))
 
@@ -69,6 +71,39 @@ def _check_json_value(value: Any, where: str) -> None:
     raise ConfigurationError(
         f"value at {where!r} is not a JSON type: {type(value).__name__}"
     )
+
+
+def check_keys(params: Any, known, where: str) -> None:
+    """Raise unless ``params`` is a mapping whose keys are all in ``known``."""
+    if not isinstance(params, Mapping):
+        raise ConfigurationError(
+            f"{where} must be a mapping, got {type(params).__name__}"
+        )
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        raise ConfigurationError(
+            f"unknown key(s) {', '.join(map(repr, unknown))} in {where}; "
+            f"known: {', '.join(sorted(known))}"
+        )
+
+
+def resolve_params(
+    params: Any, table: Mapping[str, Any], where: str
+) -> dict[str, Any]:
+    """``params`` laid over the defaults of a kind's params ``table``.
+
+    ``table`` maps every known name to its default; a dict default is a
+    nested group, resolved the same way.  A name the table lacks, at any
+    depth, raises :class:`ConfigurationError` naming where it sits.
+    """
+    check_keys(params, table, where)
+    resolved = {}
+    for name, default in table.items():
+        value = params.get(name, default)
+        if isinstance(default, dict):
+            value = resolve_params(value, default, f"{where}.{name}")
+        resolved[name] = value
+    return resolved
 
 
 def merge_overrides(*overrides: Mapping[str, Any]) -> dict[str, Any]:

@@ -18,8 +18,8 @@ from the fault's own seeded stream.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from dataclasses import dataclass, fields
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -132,7 +132,14 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FaultSpec":
-        """Parse one spec from a scenario-file entry."""
+        """Parse one spec from a scenario-file entry (unknown keys rejected)."""
+        if not isinstance(payload, Mapping):
+            raise ConfigurationError(f"a fault spec must be a mapping: {payload!r}")
+        unknown = sorted(set(payload) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigurationError(
+                f"unknown fault spec key(s) {unknown} in {payload!r}"
+            )
         try:
             kind = FaultKind(payload["kind"])
         except (KeyError, ValueError):
@@ -142,14 +149,17 @@ class FaultSpec:
             ) from None
         if "target" not in payload or "at_s" not in payload:
             raise ConfigurationError(f"fault spec needs target and at_s: {payload!r}")
-        return cls(
-            kind=kind,
-            target=str(payload["target"]),
-            at_s=float(payload["at_s"]),
-            duration_s=float(payload.get("duration_s", 0.0)),
-            factor=float(payload.get("factor", 1.0)),
-            error_rate=float(payload.get("error_rate", 1.0)),
-        )
+        try:
+            return cls(
+                kind=kind,
+                target=str(payload["target"]),
+                at_s=float(payload["at_s"]),
+                duration_s=float(payload.get("duration_s", 0.0)),
+                factor=float(payload.get("factor", 1.0)),
+                error_rate=float(payload.get("error_rate", 1.0)),
+            )
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"bad fault spec {payload!r}: {exc}") from None
 
 
 class FaultPlan:
@@ -182,6 +192,11 @@ class FaultPlan:
     @classmethod
     def from_dicts(cls, payload: Sequence[dict]) -> "FaultPlan":
         """Parse a plan from a scenario file's ``faults`` list."""
+        if not isinstance(payload, (list, tuple)):
+            raise ConfigurationError(
+                f"a fault plan must be a list of fault specs, got "
+                f"{type(payload).__name__}"
+            )
         return cls([FaultSpec.from_dict(entry) for entry in payload])
 
     @classmethod

@@ -8,7 +8,6 @@ deterministic — every random draw is seeded, every timestamp simulated.
 
 from repro.serve.autoscale import AutoscalePolicy, Autoscaler
 from repro.serve.batcher import BATCH_POLICIES, BatchDecision, MicroBatcher
-from repro.serve.chaos import ChaosScenario, ChaosSummary, default_plan, run_chaos
 from repro.serve.queueing import QUEUE_POLICIES, AdmissionPolicy, AdmissionQueue
 from repro.serve.replica import BatchLatencyModel, Replica, ReplicaState
 from repro.serve.request import Request, RequestStatus
@@ -22,7 +21,7 @@ from repro.serve.router import (
     make_router,
 )
 from repro.serve.service import InferenceService, ServeSummary
-from repro.serve.slo import SloTracker, StreamingHistogram
+from repro.serve.slo import SloTracker
 from repro.serve.workload import PoissonWorkload, VehicleFleetWorkload, Workload
 
 __all__ = [
@@ -33,8 +32,6 @@ __all__ = [
     "BATCH_POLICIES",
     "BatchDecision",
     "BatchLatencyModel",
-    "ChaosScenario",
-    "ChaosSummary",
     "InferenceService",
     "LatencyEwmaRouter",
     "LeastOutstandingRouter",
@@ -50,11 +47,8 @@ __all__ = [
     "Router",
     "ServeSummary",
     "SloTracker",
-    "StreamingHistogram",
     "TrafficSplitRouter",
     "VehicleFleetWorkload",
     "Workload",
-    "default_plan",
     "make_router",
-    "run_chaos",
 ]

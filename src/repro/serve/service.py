@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.common.clock import EventScheduler, ScheduledEvent
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, ServeError
 from repro.common.eventlog import EventLog
 from repro.common.ids import IdFactory
 from repro.common.rng import seed_from_name
@@ -680,6 +680,11 @@ class InferenceService:
                     request.angle = float(angle)
                     request.throttle = float(throttle)
         for request in batch:
+            if request.status is not RequestStatus.DISPATCHED:
+                raise ServeError(
+                    f"{request.request_id} completed while "
+                    f"{request.status.value}, not dispatched"
+                )
             request.status = RequestStatus.COMPLETED
             request.completed_s = now
             self.slo.record_completion(request, now)
@@ -712,7 +717,13 @@ class InferenceService:
         duration_s: float,
         autoscaler: Autoscaler | None = None,
     ) -> ServeSummary:
-        """Drive ``workload`` for ``duration_s``, drain, and summarise."""
+        """Drive ``workload`` for ``duration_s``, drain, and summarise.
+
+        After the drain every offered request must have ended exactly
+        once: ``offered == completed + losses`` and no replica still
+        holds queued or in-flight work, else :class:`ServeError` (a
+        request lost in a crash is a bug in the rescue path).
+        """
         if duration_s <= 0:
             raise ConfigurationError(f"duration_s must be positive, got {duration_s}")
         if self.model is not None and not workload.provides_frames:
@@ -727,7 +738,26 @@ class InferenceService:
             autoscaler.start(start + duration_s)
         self.scheduler.run_until(start + duration_s)
         self.scheduler.run_all()
+        self._check_conservation()
         return self._summarise(start, duration_s, workload, autoscaler)
+
+    def _check_conservation(self) -> None:
+        slo = self.slo
+        if slo.offered != slo.completed + slo.losses:
+            raise ServeError(
+                f"conservation violated: offered={slo.offered} != "
+                f"completed={slo.completed} + losses={slo.losses}"
+            )
+        holding = [
+            replica.replica_id
+            for replica in self.replicas
+            if replica.busy or len(replica.queue)
+        ]
+        if holding:
+            raise ServeError(
+                f"replicas still hold queued or in-flight work after the "
+                f"drain: {holding}"
+            )
 
     def _summarise(
         self,

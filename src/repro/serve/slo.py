@@ -2,20 +2,16 @@
 
 Fleet-scale runs complete tens of thousands of requests; storing every
 latency and sorting at the end is the kind of O(n log n) tail the hot
-path should not pay.  :class:`StreamingHistogram` keeps log-spaced
-buckets (constant relative error ~6%) so p50/p95/p99 are O(buckets) at
-any point during the run — which is also what the autoscaler polls.
+path should not pay.  :class:`~repro.obs.metrics.StreamingHistogram`
+keeps log-spaced buckets (constant relative error ~6%) so p50/p95/p99
+are O(buckets) at any point during the run — which is also what the
+autoscaler polls.
 
 :class:`SloTracker` folds every request outcome into counters and the
 histogram, keeps a short sliding window for control decisions, mirrors
 outcomes onto a :class:`~repro.common.eventlog.EventLog` when one is
 attached, and increments a :class:`~repro.obs.metrics.MetricsRegistry`
 when one is attached.
-
-.. deprecated:: the :class:`StreamingHistogram` class moved to
-   :mod:`repro.obs.metrics` (it is a generic streaming-percentile
-   structure, not a serving detail); the name re-exported here is the
-   same class and existing imports keep working.
 """
 
 from __future__ import annotations
@@ -28,7 +24,7 @@ from repro.common.eventlog import EventLog
 from repro.obs.metrics import MetricsRegistry, StreamingHistogram
 from repro.serve.request import Request
 
-__all__ = ["StreamingHistogram", "SloTracker", "SloSnapshot"]
+__all__ = ["SloTracker", "SloSnapshot"]
 
 
 @dataclass

@@ -81,7 +81,7 @@ def test_fleet_sits_above_serve_and_artifacts():
 def test_eval_sits_at_the_top_of_the_dag():
     """``eval`` scores whole-stack runs, so it may import the serving,
     fleet, and fault layers — and nothing may import it back except the
-    layering-exempt root modules (``repro.cli``, ``repro.scenarios``)."""
+    layering-exempt root module ``repro.cli``."""
     allowed = DEFAULT_LAYERS["eval"]
     for needed in ("serve", "fleet", "faults", "sim", "core", "obs"):
         assert needed in allowed, f"'eval' lost its '{needed}' entry"
@@ -95,7 +95,7 @@ def test_eval_sits_at_the_top_of_the_dag():
 
 def test_only_root_modules_import_eval():
     """Empirical twin: in the real tree, ``repro.eval`` is imported only
-    from inside ``eval`` itself and from the root modules."""
+    from inside ``eval`` itself and from the root module ``repro.cli``."""
     src_root = REPO_ROOT / "src" / "repro"
     index = ProjectIndex()
     for path in collect_files([src_root]):
@@ -106,7 +106,7 @@ def test_only_root_modules_import_eval():
         if any(t.startswith("repro.eval") for t in shard.imports)
         and not module.startswith("repro.eval")
     )
-    assert importers == ["repro.cli", "repro.scenarios"], importers
+    assert importers == ["repro.cli"], importers
 
 
 def test_eval_tree_imports_stay_in_its_layer():

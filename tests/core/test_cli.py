@@ -152,3 +152,58 @@ class TestPinnedOutputs:
         )
         for name, digest in TRACE_SERVE_LOAD_FILES.items():
             assert _sha256((out / name).read_bytes()) == digest, name
+
+
+class TestBadInput:
+    """Bad outside input prints one ``error:`` line on stderr, exits 2."""
+
+    def assert_error(self, capsys, argv) -> str:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        return lines[0]
+
+    def test_malformed_camera(self, tmp_path, capsys):
+        tub = tmp_path / "tub"
+        line = self.assert_error(
+            capsys, ["collect", str(tub), "--camera", "48by64"]
+        )
+        assert "48by64" in line
+        assert not tub.exists()
+
+    def test_unknown_gpu(self, capsys):
+        line = self.assert_error(capsys, ["serve", "--gpu", "H9000"])
+        assert "H9000" in line
+
+    @pytest.mark.parametrize("content", [
+        "not json",
+        '{"kind": "replica-crash", "target": "replica:any", "at_s": 1}',
+        '[{"kind": "replica-crash", "target": "replica:any"}]',
+        '[{"kind": "replica-crash", "target": "replica:any", "at": 1}]',
+        '[{"kind": "replica-crash", "target": "replica:any", "at_s": "x"}]',
+    ], ids=[
+        "not-json", "not-a-list", "no-start", "misspelled-key", "not-a-number",
+    ])
+    def test_malformed_faults_file(self, tmp_path, capsys, content):
+        path = tmp_path / "faults.json"
+        path.write_text(content)
+        self.assert_error(capsys, ["serve", "--faults", str(path)])
+
+    def test_missing_faults_file(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        line = self.assert_error(capsys, ["chaos", "--faults", str(missing)])
+        assert "absent.json" in line
+
+    def test_spec_the_runner_rejects(self, capsys):
+        line = self.assert_error(capsys, ["serve", "--replicas", "0"])
+        assert "replica" in line
+
+    def test_unknown_trace_scenario(self, tmp_path, capsys):
+        out = tmp_path / "trace"
+        line = self.assert_error(
+            capsys, ["trace", "no-such-scenario", "--out", str(out)]
+        )
+        assert "no-such-scenario" in line
+        assert not out.exists()

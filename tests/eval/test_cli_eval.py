@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from repro.cli import main
 from repro.eval.library import scenario_names
+from repro.eval.scorecard import ScoreCard
 
 # A fast cell to keep CLI runs cheap (4s of simulated serving).
 CELL = "matrix-v016-nofault-lan"
@@ -67,3 +68,41 @@ def test_multiple_seeds(tmp_path, capsys):
 def test_unknown_scenario_exits_2(capsys):
     assert main(["eval", "--scenario", "nope"]) == 2
     assert "unknown eval scenario" in capsys.readouterr().out
+
+
+def _diff_lines(out: str, sign: str) -> list[str]:
+    """The diff body lines printed with ``sign`` (headers excluded)."""
+    return [
+        line.strip()[1:].strip()
+        for line in out.splitlines()
+        if line.strip().startswith(sign) and not line.strip().startswith(sign * 3)
+    ]
+
+
+def test_diff_aligns_around_an_inserted_group(tmp_path, capsys):
+    golden = tmp_path / "golden"
+    args = ["eval", "--scenario", CELL, "--golden", str(golden)]
+    assert main(args + ["--update-goldens"]) == 0
+    capsys.readouterr()
+
+    # A golden holding one extra group: the diff shows exactly that group
+    # as removed and nothing as added.
+    path = golden / f"{CELL}-seed0.json"
+    lines = path.read_text().splitlines(keepends=True)
+    extra = ['    "extra": {\n', '      "a": 1,\n', '      "b": 2\n', "    },\n"]
+    at = lines.index('  "metrics": {\n') + 1
+    path.write_text("".join(lines[:at] + extra + lines[at:]))
+    assert main(args) == 1
+    out = capsys.readouterr().out
+    assert _diff_lines(out, "-") == [line.strip() for line in extra]
+    assert _diff_lines(out, "+") == []
+
+
+def test_scorecard_diff_sees_a_change_to_a_repeated_line():
+    # "x": 1 occurs in both groups; changing it in one must still show.
+    card = ScoreCard("s", "serve", 0, "d", {"a": {"x": 1}, "b": {"x": 1}})
+    golden = ScoreCard("s", "serve", 0, "d", {"a": {"x": 1}, "b": {"x": 2}})
+    diff = card.diff(golden.to_json())
+    assert '-      "x": 2' in diff
+    assert '+      "x": 1' in diff
+    assert card.diff(card.to_json()) == []

@@ -108,9 +108,7 @@ class TestScenarioSpec:
         assert len(a.digest()) == 12
 
     def test_kinds_are_stable(self):
-        assert SCENARIO_KINDS == (
-            "pipeline", "serve", "chaos", "fleet", "drive"
-        )
+        assert SCENARIO_KINDS == ("pipeline", "serve", "fleet", "drive")
 
 
 def test_canonical_json_sorts_keys_and_ends_with_newline():

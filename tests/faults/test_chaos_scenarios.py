@@ -4,12 +4,14 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import default_plan, main
 from repro.common.errors import ConfigurationError
 from repro.common.eventlog import EventLog
+from repro.eval.library import scenario_spec
+from repro.eval.runner import run_scenario
+from repro.eval.spec import ScenarioSpec
 from repro.faults.breaker import BreakerState
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
-from repro.serve.chaos import ChaosScenario, default_plan, run_chaos
 from repro.serve.replica import ReplicaState
 from repro.serve.request import RequestStatus, TERMINAL_STATUSES
 from repro.serve.workload import PoissonWorkload, VehicleFleetWorkload
@@ -143,23 +145,31 @@ class TestAutoscalerReplacement:
         assert late
 
 
-class TestDeterminism:
-    def scenario(self):
-        return ChaosScenario(
-            name="det", duration_s=6.0, vehicles=32, replicas=2,
-            plan=default_plan(2), provision_delay_s=0.5,
-        )
+def chaos_spec(**overrides) -> ScenarioSpec:
+    """A chaos run: a serve spec with the stock plan and the autoscaler."""
+    spec = ScenarioSpec("det", "serve", {
+        "duration_s": 6.0,
+        "service": {"replicas": 2},
+        "workload": {"shape": "vehicles", "n_vehicles": 32,
+                     "deadline_ticks": 4},
+        "faults": default_plan(2).to_dicts(),
+        "autoscale": {"min_replicas": 2, "provision_delay_s": 0.5},
+    })
+    return spec.with_overrides(overrides)
 
+
+class TestDeterminism:
     def test_run_chaos_byte_identical_per_seed(self):
-        a = run_chaos(self.scenario(), seed=3)
-        b = run_chaos(self.scenario(), seed=3)
-        assert a.to_text() == b.to_text()
-        assert a.to_dict() == b.to_dict()
+        a = run_scenario(chaos_spec(), seed=3)
+        b = run_scenario(chaos_spec(), seed=3)
+        assert a.summary == b.summary
+        assert a.artifacts["summary"].to_dict() == b.artifacts["summary"].to_dict()
+        assert a.metrics.to_json() == b.metrics.to_json()
 
     def test_different_seeds_differ(self):
-        a = run_chaos(self.scenario(), seed=3)
-        b = run_chaos(self.scenario(), seed=4)
-        assert a.to_text() != b.to_text()
+        a = run_scenario(chaos_spec(), seed=3)
+        b = run_scenario(chaos_spec(), seed=4)
+        assert a.summary != b.summary
 
     def test_cli_chaos_byte_identical(self, capsys):
         argv = ["chaos", "--seed", "3", "--duration", "5", "--vehicles", "24"]
@@ -167,41 +177,61 @@ class TestDeterminism:
         first = capsys.readouterr().out
         assert main(argv) == 0
         assert capsys.readouterr().out == first
-        assert "conserved yes" in first
+        # The stock plan's crash and hang land; the autoscaler replaces.
+        assert "faults    crashes=1 hangs=1" in first
+        assert "scaling   ups=1" in first
 
-    def test_cli_scenario_file(self, tmp_path, capsys):
-        path = tmp_path / "scenario.json"
-        path.write_text(json.dumps(self.scenario().to_dict()))
-        assert main(["chaos", "--scenario", str(path), "--seed", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "chaos scenario 'det' seed=2" in out
+    def test_cli_faults_file(self, tmp_path, capsys):
+        path = tmp_path / "faults.json"
+        path.write_text(json.dumps(default_plan(2).to_dicts()))
+        argv = ["--faults", str(path), "--replicas", "2", "--vehicles", "16",
+                "--duration", "6", "--seed", "2"]
+        assert main(["serve", *argv]) == 0
+        served = capsys.readouterr().out
+        assert "faults    crashes=1 hangs=1" in served
+        assert "scaling   ups=0" in served
+        # chaos is serve with the autoscaler on: same faults, more replicas.
+        assert main(["chaos", *argv]) == 0
+        chaos = capsys.readouterr().out
+        assert "faults    crashes=1 hangs=1" in chaos
+        assert "scaling   ups=2" in chaos
 
 
 class TestScenario:
     def test_dict_round_trip(self):
-        scenario = ChaosScenario(name="rt", replicas=2, plan=default_plan(2))
-        again = ChaosScenario.from_dict(scenario.to_dict())
-        assert again.to_dict() == scenario.to_dict()
+        spec = scenario_spec("chaos-crash")
+        again = ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert again == spec
+        assert again.digest() == spec.digest()
 
     def test_unknown_keys_rejected(self):
-        with pytest.raises(ConfigurationError):
-            ChaosScenario.from_dict({"name": "x", "blast_radius": 3})
+        with pytest.raises(ConfigurationError, match="blast_radius"):
+            run_scenario(chaos_spec(blast_radius=3))
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
-            ChaosScenario(duration_s=0.0)
+            run_scenario(chaos_spec(duration_s=0.0))
         with pytest.raises(ConfigurationError):
-            ChaosScenario(vehicles=0)
+            run_scenario(chaos_spec(**{"workload.n_vehicles": 0}))
         with pytest.raises(ConfigurationError):
             default_plan(0)
 
     def test_summary_embeds_serve_report(self):
-        summary = run_chaos(
-            ChaosScenario(duration_s=4.0, vehicles=16, replicas=2,
-                          plan=default_plan(2)),
-            seed=1,
+        run = run_scenario(chaos_spec(duration_s=4.0), seed=1)
+        assert run.summary.startswith("serve summary")
+        assert "faults    crashes=" in run.summary
+        summary = run.artifacts["summary"]
+        assert summary.offered == summary.completed + (
+            summary.dropped + summary.shed + summary.rejected + summary.expired
         )
-        text = summary.to_text()
-        assert "serve summary" in text
-        assert "faults    crashes=" in text
-        assert summary.conserved
+
+
+class TestChaosCrashSpec:
+    def test_vehicle_staleness_holds_its_recorded_values(self):
+        """The staleness figures the chaos-crash scorecard used to pin."""
+        workload = run_scenario(scenario_spec("chaos-crash"), seed=0).artifacts[
+            "workload"
+        ]
+        assert workload.stats.max_stale_streak == 23
+        assert workload.fresh_response_ratio == 385 / 445
+        assert workload.stats.lost_responses == 60

@@ -165,8 +165,6 @@ class TestServingStats:
 
         stats = ServingStats(requests=40, responses=30)
         assert stats.fresh_response_ratio == pytest.approx(0.75)
-        # The deprecated alias keeps returning the same (ratio) value.
-        assert stats.control_rate_hz == stats.fresh_response_ratio
 
     def test_fresh_command_hz_is_a_true_rate(self):
         from repro.inference.serving import ServingStats

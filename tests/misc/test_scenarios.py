@@ -1,10 +1,10 @@
-"""Direct unit tests for :mod:`repro.scenarios`.
+"""Library scenarios through :func:`repro.eval.runner.run_scenario`.
 
 The golden-trace suite covers the scenarios end to end; these tests pin
-the module's own contract: every name resolves to a declarative spec
-that round-trips, unknown names raise, the requested seed reaches the
-scenario's seeded components, and the scratch work dir never leaks —
-even when the scenario body raises.
+the front door's own contract: every library name resolves to a
+declarative spec that round-trips, unknown names raise, the requested
+seed reaches the scenario's seeded components, and the scratch work dir
+never leaks — even when the scenario body raises.
 """
 
 from __future__ import annotations
@@ -14,35 +14,36 @@ import tempfile
 import pytest
 
 from repro.common.errors import ConfigurationError
+from repro.eval.library import scenario_names, scenario_spec
+from repro.eval.runner import run_scenario
 from repro.eval.spec import ScenarioSpec
-from repro.scenarios import (
-    TRACE_SCENARIOS,
-    run_trace_scenario,
-    trace_scenario_spec,
-)
+
+
+def run_named(name: str, seed, work_dir=None):
+    return run_scenario(scenario_spec(name), seed=seed, work_dir=work_dir)
 
 
 class TestSpecs:
-    @pytest.mark.parametrize("name", TRACE_SCENARIOS)
+    @pytest.mark.parametrize("name", scenario_names())
     def test_every_scenario_has_a_round_tripping_spec(self, name):
-        spec = trace_scenario_spec(name)
+        spec = scenario_spec(name)
         assert spec.name == name
         again = ScenarioSpec.from_dict(spec.to_dict())
         assert again == spec
         assert again.digest() == spec.digest()
 
     def test_scenario_names_are_stable(self):
-        assert TRACE_SCENARIOS == (
+        assert scenario_names() == (
             "pipeline-quickstart",
             "serve-load",
             "chaos-crash",
             "fleet-canary-chaos",
+            "drive-mot",
         )
 
-    @pytest.mark.parametrize("func", [run_trace_scenario, trace_scenario_spec])
-    def test_unknown_name_raises_configuration_error(self, func):
-        with pytest.raises(ConfigurationError, match="unknown trace scenario"):
-            func("no-such-scenario")
+    def test_unknown_name_raises_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="unknown eval scenario"):
+            scenario_spec("no-such-scenario")
 
 
 class _Abort(Exception):
@@ -67,7 +68,7 @@ class TestSeedPlumbing:
         captured = {}
         self._capture_seed(monkeypatch, mod, "InferenceService", captured)
         with pytest.raises(_Abort):
-            run_trace_scenario("serve-load", seed=self.SEED)
+            run_named("serve-load", seed=self.SEED)
         assert captured["InferenceService"] == self.SEED
 
     def test_serve_load_workload_seed(self, monkeypatch):
@@ -76,25 +77,30 @@ class TestSeedPlumbing:
         captured = {}
         self._capture_seed(monkeypatch, mod, "PoissonWorkload", captured)
         with pytest.raises(_Abort):
-            run_trace_scenario("serve-load", seed=self.SEED)
+            run_named("serve-load", seed=self.SEED)
         assert captured["PoissonWorkload"] == self.SEED
 
     def test_chaos_crash_run_seed(self, monkeypatch):
-        import repro.serve.chaos as mod
+        import repro.faults.injector as mod
 
         captured = {}
-        self._capture_seed(monkeypatch, mod, "run_chaos", captured)
+        self._capture_seed(monkeypatch, mod, "FaultInjector", captured)
         with pytest.raises(_Abort):
-            run_trace_scenario("chaos-crash", seed=self.SEED)
-        assert captured["run_chaos"] == self.SEED
+            run_named("chaos-crash", seed=self.SEED)
+        assert captured["FaultInjector"] == self.SEED
 
     def test_fleet_config_seed(self, monkeypatch):
         import repro.fleet as mod
 
         captured = {}
-        self._capture_seed(monkeypatch, mod, "FleetConfig", captured)
+
+        def stub(config, **kwargs):
+            captured["FleetConfig"] = config.seed
+            raise _Abort
+
+        monkeypatch.setattr(mod, "FleetLoop", stub)
         with pytest.raises(_Abort):
-            run_trace_scenario("fleet-canary-chaos", seed=self.SEED)
+            run_named("fleet-canary-chaos", seed=self.SEED)
         assert captured["FleetConfig"] == self.SEED
 
     def test_pipeline_seed(self, monkeypatch, tmp_path):
@@ -103,19 +109,17 @@ class TestSeedPlumbing:
         captured = {}
         self._capture_seed(monkeypatch, mod, "AutoLearnPipeline", captured)
         with pytest.raises(_Abort):
-            run_trace_scenario(
-                "pipeline-quickstart", seed=self.SEED, work_dir=tmp_path
-            )
+            run_named("pipeline-quickstart", seed=self.SEED, work_dir=tmp_path)
         assert captured["AutoLearnPipeline"] == self.SEED
 
     def test_seed_is_coerced_to_int(self, monkeypatch):
-        import repro.serve.chaos as mod
+        import repro.faults.injector as mod
 
         captured = {}
-        self._capture_seed(monkeypatch, mod, "run_chaos", captured)
+        self._capture_seed(monkeypatch, mod, "FaultInjector", captured)
         with pytest.raises(_Abort):
-            run_trace_scenario("chaos-crash", seed="11")
-        assert captured["run_chaos"] == 11
+            run_named("chaos-crash", seed="11")
+        assert captured["FaultInjector"] == 11
 
 
 class TestWorkDirCleanup:
@@ -132,12 +136,10 @@ class TestWorkDirCleanup:
         monkeypatch.setattr(mod, "AutoLearnPipeline", explode)
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         with pytest.raises(RuntimeError, match="scenario body failure"):
-            run_trace_scenario("pipeline-quickstart", seed=0)
+            run_named("pipeline-quickstart", seed=0)
         assert list(tmp_path.iterdir()) == []
 
     def test_explicit_work_dir_is_kept(self, tmp_path):
-        result = run_trace_scenario(
-            "pipeline-quickstart", seed=0, work_dir=tmp_path
-        )
-        assert result.summary.startswith("pipeline-quickstart")
+        run = run_named("pipeline-quickstart", seed=0, work_dir=tmp_path)
+        assert run.summary.startswith("pipeline-quickstart")
         assert list(tmp_path.iterdir()), "work dir should hold artifacts"

@@ -1,9 +1,9 @@
 """Golden-trace regression harness.
 
-Each canonical scenario in :data:`repro.scenarios.TRACE_SCENARIOS` is
-run at seed 0 and its full observable surface — normalized span tree,
-instant events, metrics snapshot, text summary — is compared byte for
-byte against ``tests/obs/golden/<name>.json``.
+Each traced library scenario in :data:`TRACE_SCENARIOS` is run at seed
+0 and its full observable surface — normalized span tree, instant
+events, metrics snapshot, text summary — is compared byte for byte
+against ``tests/obs/golden/<name>.json``.
 
 Any behavioural drift in the traced layers (batch sizing, routing,
 fault timing, pipeline stage costs) shows up here as a readable JSON
@@ -23,10 +23,23 @@ from pathlib import Path
 
 import pytest
 
+from repro.eval.library import scenario_spec
+from repro.eval.runner import run_scenario
 from repro.obs.export import chrome_trace, normalized_trace
-from repro.scenarios import TRACE_SCENARIOS, run_trace_scenario
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+#: The library scenarios with a golden trace.
+TRACE_SCENARIOS = (
+    "pipeline-quickstart",
+    "serve-load",
+    "chaos-crash",
+    "fleet-canary-chaos",
+)
+
+
+def run_trace_scenario(name: str, seed: int, work_dir: Path):
+    return run_scenario(scenario_spec(name), seed=seed, work_dir=work_dir)
 
 
 def render_scenario(name: str, seed: int, work_dir: Path) -> str:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, ServeError
 from repro.common.eventlog import EventLog
+from repro.faults.plan import FaultKind
 from repro.serve.replica import BatchLatencyModel
 from repro.serve.request import Request, RequestStatus, TERMINAL_STATUSES
 from repro.serve.service import InferenceService
@@ -37,6 +38,26 @@ class TestLifecycle:
         assert all(r.status in TERMINAL_STATUSES for r in service.requests)
         slo = service.slo
         assert slo.offered == slo.completed + slo.losses
+
+    def test_run_raises_when_a_loss_goes_uncounted(
+        self, chaos_service, monkeypatch
+    ):
+        # Every replica crashes, so later arrivals are dropped; with the
+        # loss tally silenced the drain finds requests unaccounted for.
+        service = chaos_service(
+            plan=[(FaultKind.REPLICA_CRASH, "replica-*", 0.5)], n_replicas=2
+        )
+        monkeypatch.setattr(service.slo, "record_loss", lambda *a, **k: None)
+        with pytest.raises(ServeError, match="conservation violated"):
+            service.run(PoissonWorkload(200.0, seed=5), 2.0)
+
+    def test_completing_a_request_twice_raises(self, chaos_service):
+        service = chaos_service(n_replicas=1)
+        service.run(PoissonWorkload(50.0, seed=5), 0.5)
+        done = service.requests[0]
+        assert done.status is RequestStatus.COMPLETED
+        with pytest.raises(ServeError, match="completed while completed"):
+            service._complete(service.replicas[0], [done], 0.01)
 
     def test_closed_loop_fleet(self):
         service = make_service(n_replicas=4)
