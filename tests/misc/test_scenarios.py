@@ -19,8 +19,14 @@ from repro.eval.runner import run_scenario
 from repro.eval.spec import ScenarioSpec
 
 
-def run_named(name: str, seed, work_dir=None):
-    return run_scenario(scenario_spec(name), seed=seed, work_dir=work_dir)
+def trace_scenario_spec(name: str) -> ScenarioSpec:
+    """The spec ``autolearn trace NAME`` looks up."""
+    return scenario_spec(name)
+
+
+def run_trace_scenario(name: str, seed=0, work_dir=None):
+    """Run a library scenario by name, as ``autolearn trace NAME`` does."""
+    return run_scenario(trace_scenario_spec(name), seed=seed, work_dir=work_dir)
 
 
 class TestSpecs:
@@ -41,9 +47,10 @@ class TestSpecs:
             "drive-mot",
         )
 
-    def test_unknown_name_raises_configuration_error(self):
+    @pytest.mark.parametrize("func", [run_trace_scenario, trace_scenario_spec])
+    def test_unknown_name_raises_configuration_error(self, func):
         with pytest.raises(ConfigurationError, match="unknown eval scenario"):
-            scenario_spec("no-such-scenario")
+            func("no-such-scenario")
 
 
 class _Abort(Exception):
@@ -68,7 +75,7 @@ class TestSeedPlumbing:
         captured = {}
         self._capture_seed(monkeypatch, mod, "InferenceService", captured)
         with pytest.raises(_Abort):
-            run_named("serve-load", seed=self.SEED)
+            run_trace_scenario("serve-load", seed=self.SEED)
         assert captured["InferenceService"] == self.SEED
 
     def test_serve_load_workload_seed(self, monkeypatch):
@@ -77,7 +84,7 @@ class TestSeedPlumbing:
         captured = {}
         self._capture_seed(monkeypatch, mod, "PoissonWorkload", captured)
         with pytest.raises(_Abort):
-            run_named("serve-load", seed=self.SEED)
+            run_trace_scenario("serve-load", seed=self.SEED)
         assert captured["PoissonWorkload"] == self.SEED
 
     def test_chaos_crash_run_seed(self, monkeypatch):
@@ -86,7 +93,7 @@ class TestSeedPlumbing:
         captured = {}
         self._capture_seed(monkeypatch, mod, "FaultInjector", captured)
         with pytest.raises(_Abort):
-            run_named("chaos-crash", seed=self.SEED)
+            run_trace_scenario("chaos-crash", seed=self.SEED)
         assert captured["FaultInjector"] == self.SEED
 
     def test_fleet_config_seed(self, monkeypatch):
@@ -100,7 +107,7 @@ class TestSeedPlumbing:
 
         monkeypatch.setattr(mod, "FleetLoop", stub)
         with pytest.raises(_Abort):
-            run_named("fleet-canary-chaos", seed=self.SEED)
+            run_trace_scenario("fleet-canary-chaos", seed=self.SEED)
         assert captured["FleetConfig"] == self.SEED
 
     def test_pipeline_seed(self, monkeypatch, tmp_path):
@@ -109,7 +116,7 @@ class TestSeedPlumbing:
         captured = {}
         self._capture_seed(monkeypatch, mod, "AutoLearnPipeline", captured)
         with pytest.raises(_Abort):
-            run_named("pipeline-quickstart", seed=self.SEED, work_dir=tmp_path)
+            run_trace_scenario("pipeline-quickstart", seed=self.SEED, work_dir=tmp_path)
         assert captured["AutoLearnPipeline"] == self.SEED
 
     def test_seed_is_coerced_to_int(self, monkeypatch):
@@ -118,7 +125,7 @@ class TestSeedPlumbing:
         captured = {}
         self._capture_seed(monkeypatch, mod, "FaultInjector", captured)
         with pytest.raises(_Abort):
-            run_named("chaos-crash", seed="11")
+            run_trace_scenario("chaos-crash", seed="11")
         assert captured["FaultInjector"] == 11
 
 
@@ -136,10 +143,10 @@ class TestWorkDirCleanup:
         monkeypatch.setattr(mod, "AutoLearnPipeline", explode)
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         with pytest.raises(RuntimeError, match="scenario body failure"):
-            run_named("pipeline-quickstart", seed=0)
+            run_trace_scenario("pipeline-quickstart", seed=0)
         assert list(tmp_path.iterdir()) == []
 
     def test_explicit_work_dir_is_kept(self, tmp_path):
-        run = run_named("pipeline-quickstart", seed=0, work_dir=tmp_path)
+        run = run_trace_scenario("pipeline-quickstart", seed=0, work_dir=tmp_path)
         assert run.summary.startswith("pipeline-quickstart")
         assert list(tmp_path.iterdir()), "work dir should hold artifacts"
