@@ -32,7 +32,7 @@ import json
 import sys
 from pathlib import Path
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SimulationError
 
 __all__ = ["main", "build_parser", "default_plan"]
 
@@ -216,11 +216,20 @@ def _cmd_tracks(_args) -> int:
     return 0
 
 
-def _cmd_collect(args) -> int:
-    from repro.core.collection import collect_via_simulator
+def _track(name: str):
+    """The registered track ``name``; an unknown name is a bad flag."""
     from repro.sim.server import make_track
 
-    track = make_track(args.track)
+    try:
+        return make_track(name)
+    except SimulationError as exc:
+        raise ConfigurationError(f"--track: {exc.args[0]}") from None
+
+
+def _cmd_collect(args) -> int:
+    from repro.core.collection import collect_via_simulator
+
+    track = _track(args.track)
     report = collect_via_simulator(
         track, args.tub, n_records=args.records, skill=args.skill,
         seed=args.seed, camera_hw=_camera_hw(args.camera),
@@ -282,12 +291,12 @@ def _cmd_evaluate(args) -> int:
     from repro.core.evaluation import evaluate_model
     from repro.ml import load_model
     from repro.sim.renderer import CameraParams
-    from repro.sim.server import make_track
 
+    track = _track(args.track)
     model = load_model(args.model)
     h, w, _ = model.input_shape
     report = evaluate_model(
-        model, make_track(args.track), ticks=args.ticks, seed=args.seed,
+        model, track, ticks=args.ticks, seed=args.seed,
         camera=CameraParams(height=h, width=w),
     )
     print(f"model:      {report.model_name}")

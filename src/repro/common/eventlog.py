@@ -1,11 +1,11 @@
 """Append-only event log with typed events and simple querying.
 
 Trovi's impact metrics (views, launch clicks, executions — §5 of the
-paper) are *derived* quantities over a raw interaction log; the testbed
-and edge emulations likewise emit lifecycle events.  :class:`EventLog`
-is the shared substrate: an append-only sequence of :class:`Event`
+paper) are *derived* quantities over a raw interaction log.
+:class:`EventLog` is that log: an append-only sequence of :class:`Event`
 records that can be filtered, counted, and grouped without mutating the
-underlying history.
+underlying history.  Only :mod:`repro.artifacts` keeps one; serving and
+faults report through the tracer and the metrics registry.
 """
 
 from __future__ import annotations

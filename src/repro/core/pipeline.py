@@ -35,7 +35,12 @@ from repro.ml.serialize import save_model_bytes
 from repro.ml.training import EarlyStopping, Trainer, estimate_flops_per_sample
 from repro.net.topology import Topology, autolearn_topology
 from repro.net.transfer import scp_bytes
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import (
+    Histogram,
+    MetricsRegistry,
+    SeriesHandle,
+    ensure_registry,
+)
 from repro.obs.tracer import NullTracer, Tracer
 from repro.sim.renderer import CameraParams
 from repro.sim.tracks import Track, default_tape_oval
@@ -119,7 +124,11 @@ class AutoLearnPipeline:
         self.edge_service = CHIEdge(self.chameleon.scheduler, self.chameleon.identity)
         self.model = None
         self.tracer = tracer if tracer is not None else NullTracer()
-        self.metrics = metrics
+        self.metrics = ensure_registry(metrics)
+        self._runs = SeriesHandle(
+            self.metrics.counter, "pipeline.runs", pathway=self.pathway.name
+        )
+        self._stage_seconds: dict[str, Histogram] = {}  # bound once per stage
         if self.tracer.enabled:
             self.chameleon.object_store.attach_tracer(self.tracer)
 
@@ -156,12 +165,14 @@ class AutoLearnPipeline:
                 "pipeline.evaluation", alternative=self.pathway.evaluation
             ):
                 self._evaluate(report, split)
-        if self.metrics is not None:
-            self.metrics.counter("pipeline.runs", pathway=self.pathway.name).inc()
-            for stage in report.stages:
-                self.metrics.histogram(
+        self._runs.inc()
+        for stage in report.stages:
+            series = self._stage_seconds.get(stage.stage)
+            if series is None:
+                series = self._stage_seconds[stage.stage] = self.metrics.histogram(
                     "pipeline.stage_seconds", stage=stage.stage
-                ).observe(stage.sim_seconds)
+                )
+            series.observe(stage.sim_seconds)
         return report
 
     # ---------------------------------------------------------- stages

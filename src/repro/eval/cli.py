@@ -6,15 +6,15 @@ top-level :mod:`repro.cli` stays a thin table.
 
 Exit codes: 0 — every scorecard matched its golden (or goldens were
 updated / comparison skipped); 1 — at least one scorecard diverged or
-has no golden yet; 2 — bad invocation (unknown scenario).
+has no golden yet; 2 — bad invocation (an unknown scenario raises
+:class:`~repro.common.errors.ConfigurationError`, which
+:func:`repro.cli.main` prints as one ``error:`` line on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 from pathlib import Path
-
-from repro.common.errors import ConfigurationError
 
 __all__ = ["add_eval_arguments", "run_eval_command", "default_golden_dir"]
 
@@ -70,11 +70,7 @@ def run_eval_command(args) -> int:
         for name in scenario_names(matrix=True):
             print(name)
         return 0
-    try:
-        specs = _selected_specs(args)
-    except ConfigurationError as exc:
-        print(f"error: {exc}")
-        return 2
+    specs = _selected_specs(args)
     seeds = args.seed if args.seed else [0]
     golden_dir = Path(args.golden) if args.golden else default_golden_dir()
     out_dir = Path(args.out) if args.out else None

@@ -24,9 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.rng import ensure_rng, seed_from_name
 from repro.eval.spec import resolve_params
+from repro.obs.metrics import MetricsRegistry, SeriesHandle
+from repro.obs.tracer import NullTracer, Tracer
 from repro.sim.session import LapStats
 
 __all__ = ["DRIVE_PARAMS", "GreedyTracker", "DriveArtifacts", "run_drive"]
@@ -153,17 +155,21 @@ def run_drive(
     params: dict,
     seed: int,
     scheduler,
-    tracer,
-    metrics,
+    tracer: Tracer | NullTracer,
+    metrics: MetricsRegistry,
 ) -> tuple[str, DriveArtifacts]:
     """Run one drive scenario; returns (summary text, artifacts)."""
     from repro.core.drivers import PurePursuitDriver, StudentDriver
     from repro.sim.server import make_track
     from repro.sim.session import DrivingSession
 
-    params = resolve_params(params, DRIVE_PARAMS, f"drive spec {name!r} params")
+    where = f"drive spec {name!r} params"
+    params = resolve_params(params, DRIVE_PARAMS, where)
     track_name = str(params["track"])
-    track = make_track(track_name)
+    try:
+        track = make_track(track_name)
+    except SimulationError as exc:
+        raise ConfigurationError(f"{where}.track: {exc.args[0]}") from None
     n_vehicles = int(params["n_vehicles"])
     ticks = int(params["ticks"])
     dt = float(params["dt"])
@@ -207,6 +213,8 @@ def run_drive(
         match_radius_m=float(perception["match_radius_m"]),
     )
 
+    drive_ticks = SeriesHandle(metrics.counter, "drive.ticks")
+
     def tick() -> None:
         frame_gt: dict[str, tuple[float, float]] = {}
         for index, (slot, driver) in enumerate(zip(sessions, drivers)):
@@ -222,8 +230,7 @@ def run_drive(
             artifacts.cte_values.append(obs.cte)
         artifacts.gt_frames.append(frame_gt)
         artifacts.tracked_frames.append(tracker.observe(frame_gt))
-        if metrics is not None:
-            metrics.counter("drive.ticks").inc()
+        drive_ticks.inc()
         if len(artifacts.gt_frames) < ticks:
             scheduler.schedule_in(dt, tick, label="eval.drive")
 

@@ -13,10 +13,12 @@ know, at any nesting level, raises
 :class:`~repro.common.errors.ConfigurationError` before anything runs,
 so a misspelled key never silently runs the default.
 
-``instrument=False`` swaps the :class:`~repro.obs.tracer.Tracer` for a
-:class:`~repro.obs.tracer.NullTracer` and drops the metrics registry;
-the run's *behavior* (and hence its scorecard) must not change, which
-the property suite pins.
+Every run records into its own
+:class:`~repro.obs.metrics.MetricsRegistry`.  ``instrument`` only picks
+the tracer: a :class:`~repro.obs.tracer.Tracer` when true, a
+:class:`~repro.obs.tracer.NullTracer` when false.  Neither the run's
+*behavior* (and hence its scorecard) nor its metrics may change with
+it, which the property suite pins.
 """
 
 from __future__ import annotations
@@ -92,15 +94,16 @@ class ScenarioRun:
     spec: ScenarioSpec
     seed: int
     tracer: Tracer | NullTracer
-    metrics: MetricsRegistry | None
+    metrics: MetricsRegistry
     summary: str
     artifacts: dict[str, Any] = field(default_factory=dict)
 
 
 def _instrumentation(clock, instrument: bool):
+    """The run's tracer (a no-op one unless ``instrument``) and registry."""
     if instrument:
         return Tracer(clock), MetricsRegistry()
-    return NullTracer(), None
+    return NullTracer(), MetricsRegistry()
 
 
 def _where(spec: ScenarioSpec) -> str:
@@ -133,7 +136,7 @@ def _run_pipeline(
         eval_ticks=int(params["eval_ticks"]),
         seed=seed,
         chameleon=chameleon,
-        tracer=tracer if instrument else None,
+        tracer=tracer,
         metrics=metrics,
     )
     report = pipeline.run()
@@ -190,9 +193,7 @@ def _run_serve(spec: ScenarioSpec, seed: int, instrument: bool) -> ScenarioRun:
     plan = FaultPlan.from_dicts(params["faults"])
     injector = None
     if len(plan):
-        injector = FaultInjector(
-            plan, seed=seed, tracer=tracer if instrument else None
-        )
+        injector = FaultInjector(plan, seed=seed, tracer=tracer)
     try:
         gpu = gpu_spec(str(service_params["gpu"]))
     except NoSuchResourceError as exc:
@@ -223,7 +224,7 @@ def _run_serve(spec: ScenarioSpec, seed: int, instrument: bool) -> ScenarioRun:
         route=net_route(str(params["net"])),
         seed=seed,
         injector=injector,
-        tracer=tracer if instrument else None,
+        tracer=tracer,
         metrics=metrics,
         trace_requests=bool(params["trace_requests"]),
     )
@@ -264,12 +265,7 @@ def _run_fleet(spec: ScenarioSpec, seed: int, instrument: bool) -> ScenarioRun:
     config = _build(FleetConfig, params, where, seed=seed)
     scheduler = EventScheduler()
     tracer, metrics = _instrumentation(scheduler.clock, instrument)
-    loop = FleetLoop(
-        config,
-        scheduler=scheduler,
-        tracer=tracer if instrument else None,
-        metrics=metrics,
-    )
+    loop = FleetLoop(config, scheduler=scheduler, tracer=tracer, metrics=metrics)
     summary = loop.run()
     tracer.close_all()
     return ScenarioRun(

@@ -95,7 +95,6 @@ class ScoreCard:
 
 def _serve_groups(summary, slo, workload) -> dict[str, dict]:
     """The slo / losses / staleness groups of one serve run."""
-    losses = summary.dropped + summary.shed + summary.rejected + summary.expired
     groups = {
         "slo": {
             "offered": summary.offered,
@@ -115,7 +114,7 @@ def _serve_groups(summary, slo, workload) -> dict[str, dict]:
             "rejected": summary.rejected,
             "expired": summary.expired,
             "requeued": summary.requeued,
-            "conserved": summary.offered == summary.completed + losses,
+            "conserved": summary.offered == summary.completed + slo.losses,
         },
         "staleness": {
             "stale_ticks": summary.stale_ticks,

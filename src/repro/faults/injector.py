@@ -25,7 +25,6 @@ from typing import Callable
 
 from repro.common.clock import EventScheduler
 from repro.common.errors import ConfigurationError
-from repro.common.eventlog import EventLog
 from repro.common.rng import ensure_rng, seed_from_name
 from repro.faults.plan import WINDOW_KINDS, FaultKind, FaultPlan, FaultSpec
 from repro.obs.tracer import NullTracer, Tracer
@@ -43,12 +42,10 @@ class FaultInjector:
         self,
         plan: FaultPlan,
         seed: int = 0,
-        log: EventLog | None = None,
         tracer: Tracer | None = None,
     ) -> None:
         self.plan = plan
         self.seed = int(seed)
-        self.log = log
         self.tracer = tracer if tracer is not None else NullTracer()
         self.started = 0
         self.cleared = 0
@@ -112,14 +109,6 @@ class FaultInjector:
                 target=spec.target,
                 duration_s=spec.duration_s,
             )
-            if self.log is not None:
-                self.log.append(
-                    spec.at_s,
-                    f"fault.start.{spec.kind.value}",
-                    spec.target,
-                    "injector",
-                    duration_s=spec.duration_s,
-                )
             for handler in self._handlers.get(spec.kind, []):
                 handler(spec, self._rngs[index])
 
@@ -131,13 +120,6 @@ class FaultInjector:
             self.tracer.event(
                 f"fault.clear.{spec.kind.value}", target=spec.target
             )
-            if self.log is not None:
-                self.log.append(
-                    spec.end_s,
-                    f"fault.clear.{spec.kind.value}",
-                    spec.target,
-                    "injector",
-                )
             for handler in self._clear_handlers.get(spec.kind, []):
                 handler(spec, self._rngs[index])
 

@@ -39,7 +39,7 @@ from repro.fleet.shards import (
 )
 from repro.fleet.world import SyntheticTrackWorld
 from repro.objectstore.store import ObjectStore
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, SeriesHandle, ensure_registry
 from repro.obs.tracer import NullTracer, Tracer
 
 __all__ = [
@@ -127,7 +127,9 @@ class FleetDataPlane:
         self.records_per_flush = int(records_per_flush)
         self.seed = int(seed)
         self.tracer = tracer if tracer is not None else NullTracer()
-        self.metrics = metrics
+        self.metrics = ensure_registry(metrics)
+        self._flushed = SeriesHandle(self.metrics.counter, "fleet.flushed_records")
+        self._failed = SeriesHandle(self.metrics.counter, "fleet.failed_flushes")
         self.raw = store.create_container(RAW_CONTAINER)
         # One stream per vehicle, keyed by name: vehicle veh-0003 flushes
         # identical records whether the fleet has 4 vehicles or 4000.
@@ -178,12 +180,9 @@ class FleetDataPlane:
             flushed_records=tallies["records"],
             failed_flushes=tallies["failures"],
         )
-        if self.metrics is not None:
-            self.metrics.counter("fleet.flushed_records").inc(report.flushed_records)
-            if report.failed_flushes:
-                self.metrics.counter("fleet.failed_flushes").inc(
-                    report.failed_flushes
-                )
+        self._flushed.inc(report.flushed_records)
+        if report.failed_flushes:
+            self._failed.inc(report.failed_flushes)
         return report
 
     def _make_flush(
@@ -228,7 +227,8 @@ class IngestStage:
     ) -> None:
         self.store = store
         self.tracer = tracer if tracer is not None else NullTracer()
-        self.metrics = metrics
+        self.metrics = ensure_registry(metrics)
+        self._fresh = SeriesHandle(self.metrics.counter, "fleet.fresh_records")
         self.raw = store.create_container(RAW_CONTAINER)
         self.clean = store.create_container(CLEAN_CONTAINER)
         self._processed: set[str] = set()
@@ -276,8 +276,8 @@ class IngestStage:
                 self._processed.add(name)
                 fresh_shards += 1
                 fresh_records += int(frames.shape[0])
-        if self.metrics is not None and fresh_records:
-            self.metrics.counter("fleet.fresh_records").inc(fresh_records)
+        if fresh_records:
+            self._fresh.inc(fresh_records)
         return IngestReport(
             round_no=round_no,
             fresh_shards=fresh_shards,

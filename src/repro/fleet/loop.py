@@ -43,7 +43,7 @@ from repro.fleet.rollout import (
 from repro.fleet.trainer import IncrementalTrainer, TrainReport
 from repro.fleet.world import SyntheticTrackWorld
 from repro.objectstore.store import ObjectStore
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, SeriesHandle, ensure_registry
 from repro.obs.tracer import NullTracer, Tracer
 
 __all__ = ["RoundReport", "FleetSummary", "FleetLoop"]
@@ -157,7 +157,11 @@ class FleetLoop:
     ) -> None:
         self.config = config
         self.tracer = tracer if tracer is not None else NullTracer()
-        self.metrics = metrics
+        self.metrics = ensure_registry(metrics)
+        self._rounds = SeriesHandle(self.metrics.counter, "fleet.rounds")
+        self._promotion_latency = SeriesHandle(
+            self.metrics.histogram, "fleet.promotion_latency_s"
+        )
         self.scheduler = scheduler if scheduler is not None else EventScheduler()
         self.store = ObjectStore()
         if config.store_fault_plan is not None:
@@ -240,10 +244,7 @@ class FleetLoop:
                         latency_s = (
                             self.scheduler.clock.now - train.published_at_s
                         )
-                        if self.metrics is not None:
-                            self.metrics.histogram(
-                                "fleet.promotion_latency_s"
-                            ).observe(latency_s)
+                        self._promotion_latency.observe(latency_s)
             stable = self.registry.resolve(TAG_STABLE)
             reports.append(
                 RoundReport(
@@ -257,8 +258,7 @@ class FleetLoop:
                     promotion_latency_s=latency_s,
                 )
             )
-            if self.metrics is not None:
-                self.metrics.counter("fleet.rounds").inc()
+            self._rounds.inc()
         final_stable = self.registry.resolve(TAG_STABLE)
         return FleetSummary(
             rounds=tuple(reports),

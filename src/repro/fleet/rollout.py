@@ -40,7 +40,7 @@ from repro.fleet.registry import (
 )
 from repro.fleet.stage import StageHarness, VersionScoreboard, VersionStats
 from repro.fleet.world import SyntheticTrackWorld
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, SeriesHandle, ensure_registry
 from repro.obs.tracer import NullTracer, Tracer
 from repro.serve.replica import BatchLatencyModel
 from repro.serve.router import TrafficSplitRouter
@@ -134,7 +134,9 @@ class RolloutController:
         self.scheduler = scheduler
         self.config = config
         self.tracer = tracer if tracer is not None else NullTracer()
-        self.metrics = metrics
+        self.metrics = ensure_registry(metrics)
+        self._promotions = SeriesHandle(self.metrics.counter, "fleet.promotions")
+        self._rollbacks = SeriesHandle(self.metrics.counter, "fleet.rollbacks")
         # One labelled pool serves every stage of every round, so stage
         # cross-track errors are comparable across the whole run.
         self._frames, labels = world.eval_pool(
@@ -205,9 +207,7 @@ class RolloutController:
             history.append(OUTCOME_ROLLED_BACK)
             outcome = OUTCOME_ROLLED_BACK
             new_stable = stable
-        if self.metrics is not None:
-            kind = "promotion" if passed else "rollback"
-            self.metrics.counter(f"fleet.{kind}s").inc()
+        (self._promotions if passed else self._rollbacks).inc()
         return RolloutReport(
             round_no=round_no,
             candidate_version=candidate,

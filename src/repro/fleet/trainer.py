@@ -29,7 +29,7 @@ from repro.ml.models.factory import create_model
 from repro.ml.optimizers import Adam
 from repro.ml.training import Trainer, estimate_flops_per_sample
 from repro.objectstore.store import ObjectStore
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, SeriesHandle, ensure_registry
 from repro.obs.tracer import NullTracer, Tracer
 from repro.testbed.hardware import gpu_spec
 
@@ -106,7 +106,9 @@ class IncrementalTrainer:
         self.cte_gain_m = float(cte_gain_m)
         self.seed = int(seed)
         self.tracer = tracer if tracer is not None else NullTracer()
-        self.metrics = metrics
+        self.metrics = ensure_registry(metrics)
+        self._candidates = SeriesHandle(self.metrics.counter, "fleet.candidates")
+        self._train_s = SeriesHandle(self.metrics.histogram, "fleet.train_s")
         self.clean = store.create_container(CLEAN_CONTAINER)
         self._pending_fresh = 0
         # Held-out eval pool: the same labelled frames judge every
@@ -169,9 +171,8 @@ class IncrementalTrainer:
                 changelog=f"round {round_no} retrain",
             )
         self._pending_fresh = 0
-        if self.metrics is not None:
-            self.metrics.counter("fleet.candidates").inc()
-            self.metrics.histogram("fleet.train_s").observe(train_s)
+        self._candidates.inc()
+        self._train_s.observe(train_s)
         return TrainReport(
             round_no=round_no,
             version=version,

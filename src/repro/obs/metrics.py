@@ -5,15 +5,18 @@ A :class:`MetricsRegistry` holds named series — :class:`Counter`
 :class:`StreamingHistogram` buckets) — keyed by name plus sorted labels,
 Prometheus-style: ``serve.requests{outcome=completed}``.  Snapshots and
 exports sort every key, so the same run produces byte-identical output.
+A component records through one :class:`SeriesHandle` per series, which
+looks the series up at its first record and holds it, so no hot path
+formats a key.
 
-:class:`StreamingHistogram` lives here now; it started life in
-``serve/slo.py`` (which keeps a deprecated re-export) but is a generic
-streaming-percentile structure, not a serving detail: log-spaced buckets
-with constant relative error ~6%, O(1) record, O(buckets) percentile.
+:class:`StreamingHistogram` is a generic streaming-percentile structure,
+not a serving detail: log-spaced buckets with constant relative error
+~6%, O(1) record, O(buckets) percentile.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from typing import Any, Callable, TypeVar
 
@@ -26,7 +29,9 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "SeriesHandle",
     "StreamingHistogram",
+    "ensure_registry",
     "series_key",
 ]
 
@@ -179,6 +184,53 @@ class Histogram:
 _SeriesT = TypeVar("_SeriesT", Counter, Gauge, Histogram)
 
 
+class SeriesHandle:
+    """One series, looked up at its first record and held after that.
+
+    ``SeriesHandle(registry.counter, "serve.requests", outcome="shed")``
+    records into the series ``registry.counter("serve.requests",
+    outcome="shed")`` returns, but formats its key once, not at every
+    record.  The series joins the registry at that first record, never
+    earlier, so a snapshot lists the same series either way.
+    """
+
+    __slots__ = ("_lookup", "_series")
+
+    def __init__(
+        self,
+        get: Callable[..., Counter | Gauge | Histogram],
+        name: str,
+        **labels: str,
+    ) -> None:
+        self._lookup = functools.partial(get, name, **labels)
+        self._series: Any = None
+
+    def _bind(self) -> Any:
+        self._series = self._lookup()
+        return self._series
+
+    def inc(self, amount: float = 1.0) -> None:
+        """Add ``amount`` to the counter or gauge."""
+        series = self._series
+        if series is None:
+            series = self._bind()
+        series.inc(amount)
+
+    def set(self, value: float) -> None:
+        """Set the gauge to ``value``."""
+        series = self._series
+        if series is None:
+            series = self._bind()
+        series.set(value)
+
+    def observe(self, value: float) -> None:
+        """Fold one sample into the histogram."""
+        series = self._series
+        if series is None:
+            series = self._bind()
+        series.observe(value)
+
+
 class MetricsRegistry:
     """Get-or-create home for every metric series in a run."""
 
@@ -276,3 +328,12 @@ class MetricsRegistry:
                 f"max={digest['max']:.6g}"
             )
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+def ensure_registry(registry: MetricsRegistry | None) -> MetricsRegistry:
+    """``registry``, or a fresh one for a component built without one.
+
+    Like a ``NullTracer`` default, this keeps recording unconditional:
+    a component always has a registry, so no record site branches.
+    """
+    return registry if registry is not None else MetricsRegistry()

@@ -4,7 +4,7 @@ The :class:`~repro.common.clock.EventScheduler` dispatch loop stays
 hook-free (and therefore free) by default; this module attaches the
 observability stack to it when a run *wants* event-level visibility —
 profiling which labels dominate a scenario, or watching queue depth
-while tuning fleet size (ROADMAP item 3's "profile with obs" step).
+while tuning fleet size.
 
 ``instrument_scheduler`` installs a fire hook that counts deliveries
 per event label into a :class:`~repro.obs.metrics.MetricsRegistry`
@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Callable
 
 from repro.common.clock import EventScheduler, ScheduledEvent
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 
 __all__ = ["instrument_scheduler"]
 
@@ -28,11 +28,15 @@ def instrument_scheduler(
     scheduler: EventScheduler, metrics: MetricsRegistry
 ) -> Callable[[], None]:
     """Count event deliveries into ``metrics`` until uninstalled."""
-    fired = metrics.counter  # bound once; the hook runs per event
+    fired: dict[str, Counter] = {}  # bound once per label
     pending_max = metrics.gauge("sched.pending.max")
 
     def hook(event: ScheduledEvent) -> None:
-        fired("sched.fired", label=event.label or "unlabelled").inc()
+        label = event.label or "unlabelled"
+        counter = fired.get(label)
+        if counter is None:
+            counter = fired[label] = metrics.counter("sched.fired", label=label)
+        counter.inc()
         depth = scheduler.pending
         if depth > pending_max.value:
             pending_max.set(depth)

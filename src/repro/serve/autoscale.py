@@ -98,19 +98,9 @@ class Autoscaler:
             1 for r in self.service.replicas if r.state in _ALIVE_STATES
         )
         if alive < self.policy.min_replicas:
-            replica = self.service.add_replica(
-                delay_s=self.policy.provision_delay_s
-            )
+            self.service.add_replica(delay_s=self.policy.provision_delay_s)
             self.scale_ups += 1
             self._cooldown_until = now + self.policy.cooldown_s
-            if self.service.log is not None:
-                self.service.log.append(
-                    now,
-                    "serve.scale.replace",
-                    replica.replica_id,
-                    "autoscaler",
-                    fleet=alive + 1,
-                )
             return
         if now < self._cooldown_until:
             return
@@ -126,34 +116,13 @@ class Autoscaler:
         fleet = len(routable) + pending
         overloaded = depth > policy.queue_high or p95 > policy.p95_target_s
         if overloaded and routable and fleet < policy.max_replicas:
-            replica = self.service.add_replica(delay_s=policy.provision_delay_s)
+            self.service.add_replica(delay_s=policy.provision_delay_s)
             self.scale_ups += 1
             self._cooldown_until = now + policy.cooldown_s
-            if self.service.log is not None:
-                self.service.log.append(
-                    now,
-                    "serve.scale.up",
-                    replica.replica_id,
-                    "autoscaler",
-                    mean_queue_depth=depth,
-                    window_p95_s=p95,
-                    fleet=fleet + 1,
-                )
             return
         quiet = depth < policy.queue_low and p95 <= policy.p95_target_s
         if quiet and pending == 0 and len(routable) > policy.min_replicas:
-            replica = self.service.retire_replica()
-            if replica is None:
+            if self.service.retire_replica() is None:
                 return
             self.scale_downs += 1
             self._cooldown_until = now + policy.cooldown_s
-            if self.service.log is not None:
-                self.service.log.append(
-                    now,
-                    "serve.scale.down",
-                    replica.replica_id,
-                    "autoscaler",
-                    mean_queue_depth=depth,
-                    window_p95_s=p95,
-                    fleet=len(routable) - 1,
-                )

@@ -21,20 +21,19 @@ and every random draw comes from seeded per-replica streams keyed by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from repro.common.clock import EventScheduler, ScheduledEvent
 from repro.common.errors import ConfigurationError, ServeError
-from repro.common.eventlog import EventLog
 from repro.common.ids import IdFactory
 from repro.common.rng import seed_from_name
 from repro.faults.breaker import BreakerPolicy, CircuitBreaker
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultSpec
 from repro.net.topology import Route
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, SeriesHandle, ensure_registry
 from repro.obs.span import STATUS_ERROR, Span
 from repro.obs.tracer import NullTracer, Tracer
 from repro.serve.autoscale import Autoscaler
@@ -81,42 +80,10 @@ class ServeSummary:
     crashes: int = 0
     hangs: int = 0
     requeued: int = 0
-    extras: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         """JSON-ready view (used by the benchmark emitter)."""
-        out = {
-            "router": self.router,
-            "batch_policy": self.batch_policy,
-            "duration_s": self.duration_s,
-            "elapsed_s": self.elapsed_s,
-            "offered": self.offered,
-            "completed": self.completed,
-            "deadline_met": self.deadline_met,
-            "dropped": self.dropped,
-            "shed": self.shed,
-            "rejected": self.rejected,
-            "expired": self.expired,
-            "goodput_hz": self.goodput_hz,
-            "throughput_hz": self.throughput_hz,
-            "deadline_miss_rate": self.deadline_miss_rate,
-            "p50_ms": self.p50_ms,
-            "p95_ms": self.p95_ms,
-            "p99_ms": self.p99_ms,
-            "max_ms": self.max_ms,
-            "mean_ms": self.mean_ms,
-            "batches": self.batches,
-            "mean_batch": self.mean_batch,
-            "replicas": self.replicas,
-            "scale_ups": self.scale_ups,
-            "scale_downs": self.scale_downs,
-            "stale_ticks": self.stale_ticks,
-            "crashes": self.crashes,
-            "hangs": self.hangs,
-            "requeued": self.requeued,
-        }
-        out.update(self.extras)
-        return out
+        return asdict(self)
 
     def to_text(self) -> str:
         """Fixed-format report; byte-identical across same-seed runs."""
@@ -168,8 +135,6 @@ class InferenceService:
         queue_policy: str = "drop",
         route: Route | None = None,
         seed: int = 0,
-        log: EventLog | None = None,
-        log_requests: bool = False,
         slo_window_s: float = 2.0,
         keep_requests: bool = False,
         injector: FaultInjector | None = None,
@@ -196,20 +161,25 @@ class InferenceService:
         self.queue_policy = queue_policy
         self.route = route
         self.seed = int(seed)
-        self.log = log
         self.tracer = tracer if tracer is not None else NullTracer()
-        self.metrics = metrics
+        self.metrics = ensure_registry(metrics)
+        self._replica_gauge = SeriesHandle(self.metrics.gauge, "serve.replicas")
+        self._batches = SeriesHandle(self.metrics.counter, "serve.batches")
+        self._batch_latency = SeriesHandle(
+            self.metrics.histogram, "serve.batch.latency_s"
+        )
+        self._crash_faults = SeriesHandle(
+            self.metrics.counter, "serve.faults", kind="crash"
+        )
+        self._hang_faults = SeriesHandle(
+            self.metrics.counter, "serve.faults", kind="hang"
+        )
         self._trace_requests = bool(trace_requests) and self.tracer.enabled
         self._batch_spans: dict[str, Span] = {}
         self._replica_spans: dict[str, Span] = {}
         self._request_spans: dict[str, Span] = {}
         self._hang_spans: dict[str, Span] = {}
-        self.slo = SloTracker(
-            log=log,
-            window_s=slo_window_s,
-            log_requests=log_requests,
-            metrics=metrics,
-        )
+        self.slo = SloTracker(window_s=slo_window_s, metrics=self.metrics)
         self.replicas: list[Replica] = []
         self.requests: list[Request] = []
         self.injector = injector
@@ -275,15 +245,13 @@ class InferenceService:
         return replica
 
     def _update_replica_gauge(self) -> None:
-        if self.metrics is None:
-            return
         live = sum(
             1
             for replica in self.replicas
             if replica.state
             in (ReplicaState.PROVISIONING, ReplicaState.READY, ReplicaState.DRAINING)
         )
-        self.metrics.gauge("serve.replicas").set(live)
+        self._replica_gauge.set(live)
 
     def _end_replica_span(
         self, replica_id: str, status: str = "ok", error: str = ""
@@ -323,13 +291,6 @@ class InferenceService:
 
         def ready() -> None:
             replica.mark_ready(self.scheduler.clock.now)
-            if self.log is not None:
-                self.log.append(
-                    self.scheduler.clock.now,
-                    "serve.replica.ready",
-                    replica.replica_id,
-                    "autoscaler",
-                )
             self._pump(replica)
 
         self.scheduler.schedule_in(delay_s, ready, label="serve.provision")
@@ -466,19 +427,10 @@ class InferenceService:
             self.tracer.end(batch_span, status=STATUS_ERROR, error="crash")
         self._end_replica_span(replica.replica_id, status=STATUS_ERROR, error="crash")
         self._update_replica_gauge()
-        if self.metrics is not None:
-            self.metrics.counter("serve.faults", kind="crash").inc()
+        self._crash_faults.inc()
         breaker = self._breakers.get(replica.replica_id)
         if breaker is not None:
             breaker.trip(now)
-        if self.log is not None:
-            self.log.append(
-                now,
-                "serve.replica.crash",
-                replica.replica_id,
-                "injector",
-                orphans=len(orphans),
-            )
         # Tightest deadline first: the rescue order that never strands an
         # urgent request behind a relaxed one (chaos property-checked).
         orphans.sort(key=lambda r: (r.deadline_s, r.arrival_s, r.request_id))
@@ -519,8 +471,7 @@ class InferenceService:
             self._hang_spans[replica.replica_id] = self.tracer.start(
                 "serve.replica.hang", replica=replica.replica_id, until_s=until_s
             )
-        if self.metrics is not None:
-            self.metrics.counter("serve.faults", kind="hang").inc()
+        self._hang_faults.inc()
         replica.hung_until = max(replica.hung_until, until_s)
         wake = self._wakes.pop(replica.replica_id, None)
         if wake is not None:
@@ -539,14 +490,6 @@ class InferenceService:
                 label="serve.batch.complete",
             )
             self._inflight[replica.replica_id] = (postponed, batch, latency)
-        if self.log is not None:
-            self.log.append(
-                now,
-                "serve.replica.hang",
-                replica.replica_id,
-                "injector",
-                until_s=until_s,
-            )
 
     def _on_hang_clear(self, spec: FaultSpec, rng) -> None:
         now = self.scheduler.clock.now
@@ -563,10 +506,6 @@ class InferenceService:
             if replica is None or replica.state is ReplicaState.FAILED:
                 continue
             if not replica.is_hung(now):
-                if self.log is not None:
-                    self.log.append(
-                        now, "serve.replica.thaw", replica.replica_id, "injector"
-                    )
                 self._pump(replica)
 
     # ---------------------------------------------------------- batching
@@ -647,18 +586,8 @@ class InferenceService:
                 replica=replica.replica_id,
                 size=len(batch),
             )
-        if self.metrics is not None:
-            self.metrics.counter("serve.batches").inc()
-            self.metrics.histogram("serve.batch.latency_s").observe(latency)
-        if self.log is not None:
-            self.log.append(
-                now,
-                "serve.batch.dispatch",
-                batch_id,
-                replica.replica_id,
-                size=len(batch),
-                latency_s=latency,
-            )
+        self._batches.inc()
+        self._batch_latency.observe(latency)
         event = self.scheduler.schedule_in(
             latency,
             lambda: self._complete(replica, batch, latency),

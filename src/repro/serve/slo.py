@@ -8,10 +8,14 @@ are O(buckets) at any point during the run — which is also what the
 autoscaler polls.
 
 :class:`SloTracker` folds every request outcome into counters and the
-histogram, keeps a short sliding window for control decisions, mirrors
-outcomes onto a :class:`~repro.common.eventlog.EventLog` when one is
-attached, and increments a :class:`~repro.obs.metrics.MetricsRegistry`
-when one is attached.
+histogram, keeps a short sliding window for control decisions, and
+increments the ``serve.*`` series of a
+:class:`~repro.obs.metrics.MetricsRegistry` (its own unless one is
+passed in).  The tracker keeps its own counts and histogram because
+one registry can serve several services — a fleet run shares one
+across its shadow and canary stages — so the registry's series are
+run totals, while a :class:`~repro.serve.service.ServeSummary` and its
+conservation check need this one service's tallies.
 """
 
 from __future__ import annotations
@@ -20,11 +24,18 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError
-from repro.common.eventlog import EventLog
-from repro.obs.metrics import MetricsRegistry, StreamingHistogram
+from repro.obs.metrics import (
+    MetricsRegistry,
+    SeriesHandle,
+    StreamingHistogram,
+    ensure_registry,
+)
 from repro.serve.request import Request
 
 __all__ = ["SloTracker", "SloSnapshot"]
+
+#: ``record_loss`` kinds, each a ``serve.requests`` outcome label.
+_LOSS_KINDS = ("drop", "shed", "reject", "expire")
 
 
 @dataclass
@@ -37,21 +48,17 @@ class SloSnapshot:
 
 
 class SloTracker:
-    """Fold request outcomes into SLO metrics and the event log."""
+    """Fold request outcomes into SLO metrics."""
 
     def __init__(
         self,
-        log: EventLog | None = None,
         window_s: float = 2.0,
-        log_requests: bool = False,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if window_s <= 0:
             raise ConfigurationError(f"window_s must be positive, got {window_s}")
-        self.log = log
         self.window_s = float(window_s)
-        self.log_requests = bool(log_requests)
-        self.metrics = metrics
+        self.metrics = ensure_registry(metrics)
         self.histogram = StreamingHistogram()
         self.offered = 0
         self.completed = 0
@@ -62,18 +69,26 @@ class SloTracker:
         self.expired = 0
         self.requeued = 0
         self._window: deque[tuple[float, float]] = deque()
+        counter = self.metrics.counter
+        self._offered = SeriesHandle(counter, "serve.requests", outcome="offered")
+        self._completed = SeriesHandle(
+            counter, "serve.requests", outcome="completed"
+        )
+        self._latency = SeriesHandle(
+            self.metrics.histogram, "serve.request.latency_s"
+        )
+        self._requeues = SeriesHandle(counter, "serve.requeues")
+        self._losses = {
+            kind: SeriesHandle(counter, "serve.requests", outcome=kind)
+            for kind in _LOSS_KINDS
+        }
 
     # ----------------------------------------------------------- intake
 
     def record_offered(self, request: Request, now: float) -> None:
         """A request entered the system."""
         self.offered += 1
-        if self.metrics is not None:
-            self.metrics.counter("serve.requests", outcome="offered").inc()
-        if self.log is not None and self.log_requests:
-            self.log.append(
-                now, "serve.request.offered", request.request_id, request.source
-            )
+        self._offered.inc()
 
     def record_completion(self, request: Request, now: float) -> None:
         """A request finished with a response."""
@@ -84,20 +99,8 @@ class SloTracker:
             self.deadline_met += 1
         self._window.append((now, latency))
         self._prune(now)
-        if self.metrics is not None:
-            self.metrics.counter("serve.requests", outcome="completed").inc()
-            self.metrics.histogram("serve.request.latency_s").observe(latency)
-        if self.log is not None and self.log_requests:
-            self.log.append(
-                now,
-                "serve.request.completed",
-                request.request_id,
-                request.source,
-                latency_s=latency,
-                met_deadline=request.met_deadline,
-                replica=request.replica_id,
-                batch=request.batch_id,
-            )
+        self._completed.inc()
+        self._latency.observe(latency)
 
     def record_requeue(self, request: Request, now: float) -> None:
         """A request was rescued from a crashed replica (non-terminal).
@@ -108,16 +111,7 @@ class SloTracker:
         holds regardless of how many times it was requeued.
         """
         self.requeued += 1
-        if self.metrics is not None:
-            self.metrics.counter("serve.requeues").inc()
-        if self.log is not None and self.log_requests:
-            self.log.append(
-                now,
-                "serve.request.requeue",
-                request.request_id,
-                request.source,
-                deadline_s=request.deadline_s,
-            )
+        self._requeues.inc()
 
     def record_loss(self, request: Request, kind: str, now: float) -> None:
         """A request ended without a response (drop/shed/reject/expire)."""
@@ -131,12 +125,7 @@ class SloTracker:
             self.expired += 1
         else:
             raise ConfigurationError(f"unknown loss kind {kind!r}")
-        if self.metrics is not None:
-            self.metrics.counter("serve.requests", outcome=kind).inc()
-        if self.log is not None and self.log_requests:
-            self.log.append(
-                now, f"serve.request.{kind}", request.request_id, request.source
-            )
+        self._losses[kind].inc()
 
     # ---------------------------------------------------------- queries
 

@@ -109,6 +109,31 @@ def test_only_root_modules_import_eval():
     assert importers == ["repro.cli"], importers
 
 
+def test_only_artifacts_imports_the_event_log():
+    """Twin for the event log: outside ``repro.common``, only
+    ``repro.artifacts``, whose Trovi impact counters are defined over an
+    interaction log, imports :mod:`repro.common.eventlog`.  Serving and
+    faults report through the tracer and the metrics registry."""
+    src_root = REPO_ROOT / "src" / "repro"
+    index = ProjectIndex()
+    for path in collect_files([src_root]):
+        index.add_module(ModuleContext.from_path(path))
+    event_log = {"repro.common.eventlog", "repro.common.Event", "repro.common.EventLog"}
+    importers = sorted(
+        module
+        for module, shard in index.graph.shards.items()
+        if not module.startswith("repro.common")
+        and any(
+            target.startswith("repro.common.eventlog") or target in event_log
+            for target in [*shard.imports, *shard.bindings.values()]
+        )
+    )
+    assert importers, "repro.artifacts should still use the event log"
+    assert all(module.startswith("repro.artifacts.") for module in importers), (
+        importers
+    )
+
+
 def test_eval_tree_imports_stay_in_its_layer():
     """The real ``src/repro/eval`` tree imports only its allowed set."""
     eval_root = REPO_ROOT / "src" / "repro" / "eval"

@@ -173,6 +173,26 @@ class TestBadInput:
         assert "48by64" in line
         assert not tub.exists()
 
+    def test_unknown_track_to_collect(self, tmp_path, capsys):
+        tub = tmp_path / "tub"
+        line = self.assert_error(
+            capsys, ["collect", str(tub), "--track", "nosuch"]
+        )
+        assert "--track" in line and "nosuch" in line
+        assert "default-tape-oval" in line
+        assert not tub.exists()
+
+    def test_unknown_track_is_checked_before_the_model_loads(
+        self, tmp_path, capsys
+    ):
+        # The model file does not exist either: the track is looked up
+        # first, so the error names the track, not the file.
+        missing = tmp_path / "absent.npz"
+        line = self.assert_error(
+            capsys, ["evaluate", str(missing), "--track", "nosuch"]
+        )
+        assert "--track" in line and "nosuch" in line
+
     def test_unknown_gpu(self, capsys):
         line = self.assert_error(capsys, ["serve", "--gpu", "H9000"])
         assert "H9000" in line

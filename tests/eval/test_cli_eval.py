@@ -67,7 +67,9 @@ def test_multiple_seeds(tmp_path, capsys):
 
 def test_unknown_scenario_exits_2(capsys):
     assert main(["eval", "--scenario", "nope"]) == 2
-    assert "unknown eval scenario" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown eval scenario" in captured.err
 
 
 def _diff_lines(out: str, sign: str) -> list[str]:

@@ -8,6 +8,7 @@ from repro.common.errors import ConfigurationError
 from repro.eval.library import scenario_spec
 from repro.eval.runner import run_scenario
 from repro.faults.plan import FaultPlan
+from repro.sim.server import AVAILABLE_TRACKS
 
 #: (library spec, an override that misspells or drops a key)
 BAD_KEYS = {
@@ -44,6 +45,17 @@ def test_error_names_where_the_key_sits():
     spec = scenario_spec("serve-load").with_overrides({"service.replica": 2})
     with pytest.raises(ConfigurationError, match=r"'serve-load' params\.service"):
         run_scenario(spec)
+
+
+def test_unknown_drive_track_names_the_param_and_the_tracks():
+    spec = scenario_spec("drive-mot").with_overrides({"track": "nosuch"})
+    with pytest.raises(ConfigurationError) as info:
+        run_scenario(spec)
+    message = str(info.value)
+    assert "'drive-mot' params.track" in message
+    assert "'nosuch'" in message
+    for known in AVAILABLE_TRACKS:
+        assert known in message
 
 
 def test_nested_group_must_be_a_mapping():

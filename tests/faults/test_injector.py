@@ -4,9 +4,9 @@ import pytest
 
 from repro.common.clock import EventScheduler
 from repro.common.errors import ConfigurationError
-from repro.common.eventlog import EventLog
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
+from repro.obs.tracer import Tracer
 
 
 def hang(target="replica-0001", at_s=1.0, duration_s=2.0):
@@ -55,13 +55,16 @@ class TestArming:
             injector.arm(scheduler)
 
     def test_events_are_logged(self):
-        log = EventLog()
         scheduler = EventScheduler()
-        injector = FaultInjector(FaultPlan([hang()]), log=log)
+        tracer = Tracer(scheduler.clock)
+        injector = FaultInjector(FaultPlan([hang()]), tracer=tracer)
         injector.arm(scheduler)
         scheduler.run_all()
-        kinds = [e.kind for e in log]
-        assert kinds == ["fault.start.replica-hang", "fault.clear.replica-hang"]
+        events = [(e.name, e.time_s) for e in tracer.events]
+        assert events == [
+            ("fault.start.replica-hang", 1.0),
+            ("fault.clear.replica-hang", 3.0),
+        ]
 
 
 class TestQueries:

@@ -97,13 +97,13 @@ class TestScorecardDeterminism:
     @SLOW_SETTINGS
     @given(seed=st.integers(0, 2**16))
     def test_metrics_invariant_under_instrumentation(self, seed):
-        traced = Evaluator().evaluate(
-            run_scenario(FAST_SPEC, seed=seed, instrument=True)
-        )
-        bare = Evaluator().evaluate(
-            run_scenario(FAST_SPEC, seed=seed, instrument=False)
-        )
+        traced_run = run_scenario(FAST_SPEC, seed=seed, instrument=True)
+        bare_run = run_scenario(FAST_SPEC, seed=seed, instrument=False)
+        traced = Evaluator().evaluate(traced_run)
+        bare = Evaluator().evaluate(bare_run)
         assert traced.to_json() == bare.to_json()
+        # The registry is always on: instrument only picks the tracer.
+        assert traced_run.metrics.to_json() == bare_run.metrics.to_json()
 
 
 TRACK = default_tape_oval()

@@ -9,7 +9,6 @@ deadline mix — hypothesis drives the parameter space.
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.common.eventlog import EventLog
 from repro.faults.breaker import BreakerPolicy, BreakerState, CircuitBreaker
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
@@ -129,7 +128,6 @@ class TestRequeueProps:
         seed=st.integers(0, 2**16),
     )
     def test_requeues_never_violate_deadline_order(self, deadlines, seed):
-        log = EventLog()
         plan = FaultPlan([
             FaultSpec(FaultKind.REPLICA_CRASH, "replica-0001", at_s=0.05)
         ])
@@ -137,15 +135,19 @@ class TestRequeueProps:
             BatchLatencyModel(0.2, 0.01, jitter=0.0),
             n_replicas=1, batch_policy="single", queue_capacity=64,
             seed=seed, injector=FaultInjector(plan, seed=seed),
-            log=log, log_requests=True, keep_requests=True,
+            keep_requests=True,
         )
+        requeued = []
+        record_requeue = service.slo.record_requeue
+
+        def spy(request, now):
+            requeued.append(request.deadline_s)
+            record_requeue(request, now)
+
+        service.slo.record_requeue = spy
         for i, deadline in enumerate(deadlines):
             service.submit(Request(f"req-{i:06d}", "test", 0.0, deadline))
         service.scheduler.run_all()
         assert service.crashes == 1
-        requeued = [
-            e.payload["deadline_s"]
-            for e in log.filter(kind="serve.request.requeue")
-        ]
         assert requeued, "the crash must orphan the queued requests"
         assert requeued == sorted(requeued)

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.common.clock import EventScheduler
 from repro.common.errors import ConfigurationError, ServeError
-from repro.common.eventlog import EventLog
 from repro.faults.plan import FaultKind
+from repro.obs.tracer import Tracer
 from repro.serve.replica import BatchLatencyModel
 from repro.serve.request import Request, RequestStatus, TERMINAL_STATUSES
 from repro.serve.service import InferenceService
@@ -71,13 +72,15 @@ class TestLifecycle:
         assert summary.deadline_miss_rate < 0.05
 
     def test_batch_sizes_never_exceed_cap(self):
-        log = EventLog()
-        service = make_service(n_replicas=1, max_batch=8, log=log)
+        scheduler = EventScheduler()
+        tracer = Tracer(scheduler.clock)
+        service = make_service(
+            n_replicas=1, max_batch=8, scheduler=scheduler, tracer=tracer
+        )
         service.run(PoissonWorkload(2000.0, seed=5), 1.0)
-        sizes = [
-            e.payload["size"] for e in log.filter(kind="serve.batch.dispatch")
-        ]
-        assert sizes and max(sizes) <= 8
+        sizes = [span.attrs["size"] for span in tracer.find("serve.batch")]
+        assert len(sizes) == service.replicas[0].batches
+        assert max(sizes) <= 8
 
     def test_overload_sheds_with_shed_policy(self):
         service = make_service(
@@ -116,15 +119,21 @@ class TestDeterminism:
 
     def test_same_seed_identical_event_trace(self):
         def trace():
-            log = EventLog()
-            service = make_service(n_replicas=2, log=log, log_requests=True)
+            scheduler = EventScheduler()
+            tracer = Tracer(scheduler.clock)
+            service = make_service(
+                n_replicas=2, scheduler=scheduler, tracer=tracer,
+                trace_requests=True,
+            )
             service.run(PoissonWorkload(300.0, seed=9), 2.0)
             return [
-                (e.time, e.kind, e.subject, e.actor, tuple(sorted(e.payload)))
-                for e in log
+                (s.span_id, s.name, s.start_s, s.end_s, s.status, s.attrs)
+                for s in tracer.spans
             ]
 
-        assert trace() == trace()
+        first = trace()
+        assert first == trace()
+        assert {span[1] for span in first} >= {"serve.request", "serve.batch"}
 
     def test_different_seed_differs(self):
         a = make_service(n_replicas=2, seed=1).run(

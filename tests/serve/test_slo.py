@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError
-from repro.common.eventlog import EventLog
 from repro.obs.metrics import StreamingHistogram
 from repro.serve.request import Request, RequestStatus
 from repro.serve.slo import SloTracker
@@ -127,16 +126,3 @@ class TestSloTracker:
         # Conservation ignores requeues entirely.
         assert tracker.offered == tracker.completed + tracker.losses
 
-    def test_eventlog_mirroring(self):
-        log = EventLog()
-        tracker = SloTracker(log=log, log_requests=True)
-        request = completed(0)
-        tracker.record_offered(request, 0.0)
-        tracker.record_completion(request, request.completed_s)
-        tracker.record_loss(Request("req-0001", "test", 1.0, 2.0), "drop", 1.0)
-        kinds = log.group_by_kind()
-        assert kinds == {
-            "serve.request.offered": 1,
-            "serve.request.completed": 1,
-            "serve.request.drop": 1,
-        }
