@@ -18,6 +18,7 @@ an invariant the property suite checks against the recorded
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError
@@ -74,6 +75,16 @@ class CircuitBreaker:
     def _move(self, now: float, to: BreakerState) -> None:
         self.transitions.append((now, self._state, to))
         self._state = to
+
+    @property
+    def half_open_at(self) -> float:
+        """When an open circuit starts admitting probes (inf unless OPEN).
+
+        :meth:`peek` answers False exactly while ``now`` is below it.
+        """
+        if self._state is BreakerState.OPEN:
+            return self._opened_at + self.policy.open_s
+        return math.inf
 
     # -------------------------------------------------------------- gate
 

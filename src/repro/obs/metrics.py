@@ -16,8 +16,10 @@ not a serving detail: log-spaced buckets with constant relative error
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
+import math
 from typing import Any, Callable, TypeVar
 
 import numpy as np
@@ -54,9 +56,13 @@ class StreamingHistogram:
         self.high_s = float(high_s)
         decades = np.log10(high_s / low_s)
         n_buckets = int(np.ceil(decades * buckets_per_decade)) + 1
-        # Upper edge of bucket i: low * 10**(i / buckets_per_decade).
-        self._edges = self.low_s * np.power(
-            10.0, np.arange(1, n_buckets + 1) / buckets_per_decade
+        # Upper edge of bucket i: low * 10**(i / buckets_per_decade),
+        # kept as Python floats so record() can bisect them directly.
+        self._edges = tuple(
+            (
+                self.low_s
+                * np.power(10.0, np.arange(1, n_buckets + 1) / buckets_per_decade)
+            ).tolist()
         )
         self._counts = np.zeros(n_buckets + 2, dtype=np.int64)  # +under/over
         self.count = 0
@@ -64,16 +70,22 @@ class StreamingHistogram:
         self.max_s = 0.0
 
     def record(self, value_s: float) -> None:
-        """Fold one latency sample into the histogram."""
-        if value_s < 0:
-            raise ConfigurationError(f"latency cannot be negative: {value_s}")
+        """Fold one finite, non-negative latency sample into the histogram.
+
+        A NaN would poison ``sum_s`` while the percentiles still looked
+        sane, and an infinity would read as p99, so both are refused.
+        """
+        if not 0 <= value_s < math.inf:
+            raise ConfigurationError(
+                f"latency must be finite and non-negative: {value_s}"
+            )
         self.count += 1
         self.sum_s += value_s
         self.max_s = max(self.max_s, value_s)
         if value_s < self.low_s:
             self._counts[0] += 1
         else:
-            idx = int(np.searchsorted(self._edges, value_s, side="left"))
+            idx = bisect.bisect_left(self._edges, value_s)
             self._counts[min(idx + 1, len(self._counts) - 1)] += 1
 
     def percentile(self, q: float) -> float:

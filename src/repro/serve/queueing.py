@@ -14,12 +14,18 @@ queue is full, the admission policy decides who pays:
 
 Requests whose absolute deadline passes while queued are *expired* by
 :meth:`AdmissionQueue.expire` — serving them would waste a batch slot
-on a response nobody can use.
+on a response nobody can use.  A deadline heap, whose entries for
+requests that left the queue are dropped lazily when they reach its
+top, answers :meth:`AdmissionQueue.earliest_deadline_s` and lets
+``expire`` return at once while no deadline has passed, so a pump
+scans the queue only when something actually expires.
 """
 
 from __future__ import annotations
 
 import enum
+import heapq
+import math
 from collections import deque
 
 from repro.common.errors import ConfigurationError
@@ -59,6 +65,13 @@ class AdmissionQueue:
         self.policy = policy
         self._classes: dict[int, deque[Request]] = {}
         self._depth = 0
+        # (deadline_s, entry, request) heap.  ``_live`` maps id(request)
+        # to the entry number of its current admission, so an entry of a
+        # request that was popped, shed or expired (or admitted again
+        # since) is stale and is discarded when it surfaces.
+        self._deadlines: list[tuple[float, int, Request]] = []
+        self._live: dict[int, int] = {}
+        self._entries = 0
 
     def __len__(self) -> int:
         return self._depth
@@ -95,6 +108,14 @@ class AdmissionQueue:
         request.admitted_s = now
         self._classes.setdefault(request.priority, deque()).append(request)
         self._depth += 1
+        deadline = request.deadline_s
+        if deadline == deadline:  # a NaN deadline never expires nor is earliest
+            entry = self._entries
+            self._entries = entry + 1
+            self._live[id(request)] = entry
+            heapq.heappush(self._deadlines, (deadline, entry, request))
+            if len(self._deadlines) > 2 * self._depth + 64:
+                self._compact()
         return True, displaced
 
     def _shed_for(self, incoming: Request) -> Request | None:
@@ -105,6 +126,7 @@ class AdmissionQueue:
             if queue and priority >= incoming.priority:
                 victim = queue.popleft()
                 self._depth -= 1
+                self._live.pop(id(victim), None)
                 victim.status = RequestStatus.DROPPED
                 return victim
         return None
@@ -112,8 +134,14 @@ class AdmissionQueue:
     # ----------------------------------------------------------- service
 
     def expire(self, now: float) -> list[Request]:
-        """Remove and return every queued request whose deadline passed."""
+        """Remove and return every queued request whose deadline passed.
+
+        Classes in the order they were first admitted, FIFO within each.
+        """
+        if not self.earliest_deadline_s() < now:
+            return []
         expired: list[Request] = []
+        live = self._live
         for priority, queue in self._classes.items():
             if not queue:
                 continue
@@ -122,6 +150,7 @@ class AdmissionQueue:
                 if request.deadline_s < now:
                     request.status = RequestStatus.EXPIRED
                     expired.append(request)
+                    live.pop(id(request), None)
                 else:
                     keep.append(request)
             self._classes[priority] = keep
@@ -140,6 +169,9 @@ class AdmissionQueue:
             if len(batch) >= limit:
                 break
         self._depth -= len(batch)
+        live = self._live
+        for request in batch:
+            live.pop(id(request), None)
         return batch
 
     def oldest_admitted_s(self) -> float:
@@ -152,8 +184,19 @@ class AdmissionQueue:
 
     def earliest_deadline_s(self) -> float:
         """Tightest absolute deadline among queued requests (inf if empty)."""
-        earliest = float("inf")
-        for queue in self._classes.values():
-            for request in queue:
-                earliest = min(earliest, request.deadline_s)
-        return earliest
+        heap = self._deadlines
+        live = self._live
+        while heap:
+            deadline, entry, request = heap[0]
+            if live.get(id(request)) == entry:
+                return deadline
+            heapq.heappop(heap)
+        return math.inf
+
+    def _compact(self) -> None:
+        """Drop every stale heap entry in one pass."""
+        live = self._live
+        self._deadlines = [
+            item for item in self._deadlines if live.get(id(item[2])) == item[1]
+        ]
+        heapq.heapify(self._deadlines)

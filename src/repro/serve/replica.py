@@ -142,6 +142,11 @@ class Replica:
         self.queue = queue
         self.batcher = batcher
         self.route = route
+        # A Route is frozen, so its RTT floor and bottleneck are constants
+        # of the replica; expected_latency reads them on every pump.
+        if route is not None:
+            self._route_rtt_s = route.base_rtt_s
+            self._route_bps = route.bottleneck_bps
         # Per-replica model pinning: a rollout can run different registry
         # versions side by side in one fleet.  ``model=None`` falls back
         # to the service-level model; ``model_version`` is the routing
@@ -229,7 +234,7 @@ class Replica:
         """Deterministic latency estimate for planning (no jitter)."""
         latency = self.latency_model.mean_latency(batch_size)
         if self.route is not None:
-            latency += self.route.base_rtt_s + self._wire_time(batch_size)
+            latency += self._route_rtt_s + self._wire_time(batch_size)
         return latency
 
     def sample_batch_latency(self, batch_size: int) -> float:
@@ -246,7 +251,7 @@ class Replica:
 
     def _wire_time(self, batch_size: int) -> float:
         wire_bytes = batch_size * (FRAME_WIRE_BYTES + RESPONSE_WIRE_BYTES)
-        return 8.0 * wire_bytes / self.route.bottleneck_bps
+        return 8.0 * wire_bytes / self._route_bps
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -48,7 +48,11 @@ class Router:
     def route(
         self, replicas: list[Replica], request: Request, now: float
     ) -> Replica | None:
-        """Pick a replica for ``request`` (None if none are routable)."""
+        """Pick a replica for ``request`` (None if none are routable).
+
+        ``replicas`` is the service's kept routable set: read it, never
+        modify it.
+        """
         raise NotImplementedError
 
     def observe_batch(self, replica: Replica, latency_s: float) -> None:
@@ -81,9 +85,14 @@ class LeastOutstandingRouter(Router):
     def route(
         self, replicas: list[Replica], request: Request, now: float
     ) -> Replica | None:
-        if not replicas:
-            return None
-        return min(replicas, key=lambda replica: replica.load)
+        best = None
+        best_load = 0
+        for replica in replicas:
+            load = len(replica.queue) + len(replica.inflight)  # Replica.load
+            if best is None or load < best_load:
+                best = replica
+                best_load = load
+        return best
 
 
 class LatencyEwmaRouter(Router):

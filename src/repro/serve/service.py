@@ -29,7 +29,7 @@ from repro.common.clock import EventScheduler, ScheduledEvent
 from repro.common.errors import ConfigurationError, ServeError
 from repro.common.ids import IdFactory
 from repro.common.rng import seed_from_name
-from repro.faults.breaker import BreakerPolicy, CircuitBreaker
+from repro.faults.breaker import BreakerPolicy, BreakerState, CircuitBreaker
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultSpec
 from repro.net.topology import Route
@@ -195,6 +195,13 @@ class InferenceService:
         self._inflight: dict[str, tuple[ScheduledEvent, list[Request], float]] = {}
         self._hang_resolutions: dict[FaultSpec, list[list[str]]] = {}
         self._workload: Workload | None = None
+        # The routable set, kept between placements: None after anything
+        # that can move a replica in or out of it (a replica state
+        # change, a hang start, a breaker trip, close or probe
+        # admission), and rebuilt once the clock reaches the earliest
+        # hang end or breaker half-open time it was built under.
+        self._routable: list[Replica] | None = None
+        self._routable_until = math.inf
         for _ in range(n_replicas):
             replica = self._new_replica()
             replica.mark_ready(self.scheduler.clock.now)
@@ -287,10 +294,12 @@ class InferenceService:
         now = self.scheduler.clock.now
         if delay_s <= 0:
             replica.mark_ready(now)
+            self._routable = None
             return replica
 
         def ready() -> None:
             replica.mark_ready(self.scheduler.clock.now)
+            self._routable = None
             self._pump(replica)
 
         self.scheduler.schedule_in(delay_s, ready, label="serve.provision")
@@ -301,6 +310,7 @@ class InferenceService:
         for replica in reversed(self.replicas):
             if replica.routable:
                 replica.drain()
+                self._routable = None
                 if not replica.busy and not len(replica.queue):
                     replica.retire()
                     self._end_replica_span(replica.replica_id)
@@ -315,16 +325,28 @@ class InferenceService:
         (``peek`` is side-effect-free, so stats polls don't consume
         half-open probes — probe admission happens in :meth:`submit`).
         """
-        now = self.scheduler.clock.now
-        out = []
-        for replica in self.replicas:
-            if not replica.routable or replica.is_hung(now):
-                continue
-            breaker = self._breakers.get(replica.replica_id)
-            if breaker is not None and not breaker.peek(now):
-                continue
-            out.append(replica)
-        return out
+        return list(self._routable_at(self.scheduler.clock.now))
+
+    def _routable_at(self, now: float) -> list[Replica]:
+        """The kept routable set, rescanned only when it may be stale."""
+        routable = self._routable
+        if routable is None or now >= self._routable_until:
+            routable = []
+            until = math.inf
+            for replica in self.replicas:
+                if not replica.routable:
+                    continue
+                if replica.is_hung(now):
+                    until = min(until, replica.hung_until)
+                    continue
+                breaker = self._breakers.get(replica.replica_id)
+                if breaker is not None and not breaker.peek(now):
+                    until = min(until, breaker.half_open_at)
+                    continue
+                routable.append(replica)
+            self._routable = routable
+            self._routable_until = until
+        return routable
 
     def provisioning_count(self) -> int:
         """Replicas still inside their provisioning delay."""
@@ -350,17 +372,20 @@ class InferenceService:
 
     def _place(self, request: Request, now: float) -> bool:
         """Route + admit one request (shared by submit and requeue)."""
-        replica = self.router.route(self.routable_replicas(), request, now)
+        replica = self.router.route(self._routable_at(now), request, now)
         if replica is None:
             request.status = RequestStatus.DROPPED
             self._lose(request, "drop", now)
             return False
         breaker = self._breakers.get(replica.replica_id)
-        if breaker is not None and not breaker.allow(now):
-            # The router raced a just-consumed half-open probe slot.
-            request.status = RequestStatus.DROPPED
-            self._lose(request, "drop", now)
-            return False
+        if breaker is not None and breaker.state is not BreakerState.CLOSED:
+            # allow() may admit a half-open probe, which changes peek().
+            self._routable = None
+            if not breaker.allow(now):
+                # The router raced a just-consumed half-open probe slot.
+                request.status = RequestStatus.DROPPED
+                self._lose(request, "drop", now)
+                return False
         admitted, displaced = replica.queue.offer(request, now)
         if displaced is not None:
             self._lose(displaced, "shed", now)
@@ -422,6 +447,7 @@ class InferenceService:
         if len(replica.queue):
             orphans.extend(replica.queue.pop(len(replica.queue)))
         replica.fail()
+        self._routable = None
         batch_span = self._batch_spans.pop(replica.replica_id, None)
         if batch_span is not None:
             self.tracer.end(batch_span, status=STATUS_ERROR, error="crash")
@@ -473,6 +499,7 @@ class InferenceService:
             )
         self._hang_faults.inc()
         replica.hung_until = max(replica.hung_until, until_s)
+        self._routable = None
         wake = self._wakes.pop(replica.replica_id, None)
         if wake is not None:
             wake.cancel()
@@ -631,6 +658,8 @@ class InferenceService:
         replica.busy_s += latency
         breaker = self._breakers.get(replica.replica_id)
         if breaker is not None:
+            if breaker.state is not BreakerState.CLOSED:
+                self._routable = None  # a probe success closes the circuit
             breaker.record_success(now)
         self.router.observe_batch(replica, latency)
         if self._workload is not None:

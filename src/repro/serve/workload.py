@@ -9,7 +9,9 @@ Two traffic shapes bracket real serving load:
   each tick at 20 Hz (phase-staggered) and keep at most one request in
   flight; while a request is outstanding the vehicle drives on its
   stale command (counted per vehicle).  Load self-limits, which is the
-  natural backpressure of a control loop.
+  natural backpressure of a control loop.  Every tick is one scheduler
+  event, fresh or stale, and each vehicle moves its one event from tick
+  to tick, so a tick allocates neither an event nor a closure.
 
 Both draw every random quantity from a single ``ensure_rng`` stream,
 so the same seed yields a byte-identical arrival trace.  Frames come
@@ -19,8 +21,11 @@ forward passes are wanted.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
+from repro.common.clock import ScheduledEvent
 from repro.common.errors import ConfigurationError
 from repro.common.rng import ensure_rng
 from repro.inference.serving import ServingStats
@@ -129,7 +134,31 @@ class PoissonWorkload(Workload):
 
 
 class VehicleFleetWorkload(Workload):
-    """Closed loop: N vehicles at ``1/dt`` Hz, one request in flight each."""
+    """Closed loop: N vehicles at ``1/dt`` Hz, one request in flight each.
+
+    Vehicle ``v`` first ticks at ``start + phase[v]``, and each later
+    tick time is the one before plus ``dt``, one float sum at a time.
+    A tick submits a request when the vehicle has none in flight;
+    otherwise it is *stale*: the vehicle drives on its old command.
+
+    **Events.**  Every tick, stale or fresh, is one ``workload.vehicle``
+    scheduler event, and stale ticks are counted as they run, so
+    ``stats``, ``ticks``, ``stale_ticks`` and the fresh-ratio timeline
+    are current whenever they are read.  Each vehicle owns one
+    :class:`~repro.common.clock.ScheduledEvent` (and one callback),
+    made at :meth:`start`; the end of every tick moves it to the next
+    tick with :meth:`~repro.common.clock.EventScheduler.reschedule`, so
+    a tick allocates no event and no closure.
+
+    **Ties.**  A response or loss at the exact instant of one of its
+    vehicle's ticks is ordered by the scheduler's ``(time, seq)`` rule:
+    it comes first, and that tick submits, exactly when its event was
+    scheduled before the vehicle's previous tick ran (the moment the
+    tick's own event took its place); otherwise the tick runs first and
+    is stale.  This is why a stale tick still runs as an event: counted
+    without running, it would leave no trace of when its successor took
+    its place, and such a tie could go either way.
+    """
 
     def __init__(
         self,
@@ -167,6 +196,8 @@ class VehicleFleetWorkload(Workload):
         self.timeline_bucket_s = 1.0
         self._count = 0
         self._service = None
+        self._scheduler = None
+        self._handles: list[ScheduledEvent | None] = [None] * self.n_vehicles
         self._until_s = 0.0
 
     @property
@@ -210,38 +241,36 @@ class VehicleFleetWorkload(Workload):
 
     def start(self, service, until_s: float) -> None:
         self._service = service
+        self._scheduler = scheduler = service.scheduler
         self._until_s = float(until_s)
-        now = service.scheduler.clock.now
+        now = scheduler.clock.now
         for vehicle, phase in enumerate(self._phases):
             if now + phase < self._until_s:
-                service.scheduler.schedule_in(
-                    phase, self._make_tick(vehicle), label="workload.vehicle"
+                self._handles[vehicle] = scheduler.schedule_in(
+                    phase,
+                    functools.partial(self._tick, vehicle),
+                    label="workload.vehicle",
                 )
 
-    def _make_tick(self, vehicle: int):
-        def tick() -> None:
-            self._tick(vehicle)
-
-        return tick
-
     def _tick(self, vehicle: int) -> None:
-        scheduler = self._service.scheduler
+        scheduler = self._scheduler
         now = scheduler.clock.now
-        self.stats.ticks += 1
-        stale = self._outstanding[vehicle]
-        bucket = self._buckets.setdefault(
-            int(now // self.timeline_bucket_s), [0, 0]
-        )
-        bucket[0] += 0 if stale else 1
+        stats = self.stats
+        stats.ticks += 1
+        index = int(now // self.timeline_bucket_s)
+        bucket = self._buckets.get(index)
+        if bucket is None:
+            bucket = self._buckets[index] = [0, 0]
         bucket[1] += 1
-        if stale:
+        if self._outstanding[vehicle]:
             # Previous command still in flight: drive on the stale one.
-            self.stats.stale_ticks += 1
-            self._streaks[vehicle] += 1
-            self.stats.max_stale_streak = max(
-                self.stats.max_stale_streak, self._streaks[vehicle]
-            )
+            stats.stale_ticks += 1
+            streak = self._streaks[vehicle] + 1
+            self._streaks[vehicle] = streak
+            if streak > stats.max_stale_streak:
+                stats.max_stale_streak = streak
         else:
+            bucket[0] += 1
             self._streaks[vehicle] = 0
             self._count += 1
             frame = None
@@ -255,12 +284,10 @@ class VehicleFleetWorkload(Workload):
                 frame=frame,
             )
             self._outstanding[vehicle] = True
-            self.stats.requests += 1
+            stats.requests += 1
             self._service.submit(request)
         if now + self.dt < self._until_s:
-            scheduler.schedule_in(
-                self.dt, self._make_tick(vehicle), label="workload.vehicle"
-            )
+            scheduler.reschedule(self._handles[vehicle], now + self.dt)
 
     def _vehicle_index(self, source: str) -> int | None:
         if not source.startswith("veh-"):

@@ -1,5 +1,6 @@
 """Retry policies, circuit breakers, and the resilient-call loop."""
 
+import numpy as np
 import pytest
 
 from repro.common.clock import Clock
@@ -101,6 +102,18 @@ class TestCircuitBreaker:
         breaker.trip(0.8)  # re-trip pushes the re-probe time out
         assert not breaker.allow(1.5)
         assert breaker.allow(1.8)
+
+    def test_peek_is_false_exactly_until_half_open_at(self):
+        breaker = CircuitBreaker(BreakerPolicy(open_s=0.3))
+        assert breaker.half_open_at == float("inf")
+        breaker.trip(0.1)
+        reopens = breaker.half_open_at
+        assert reopens == 0.1 + 0.3
+        assert not breaker.peek(float(np.nextafter(reopens, 0.0)))
+        assert breaker.peek(reopens)
+        assert breaker.allow(reopens)
+        assert breaker.state is BreakerState.HALF_OPEN
+        assert breaker.half_open_at == float("inf")
 
     def test_transitions_are_recorded(self):
         breaker = CircuitBreaker(BreakerPolicy(failure_threshold=1, open_s=1.0))

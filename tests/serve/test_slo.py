@@ -56,6 +56,34 @@ class TestStreamingHistogram:
         with pytest.raises(ConfigurationError):
             StreamingHistogram().percentile(1.5)
 
+    def test_bucket_is_the_searchsorted_one(self):
+        hist = StreamingHistogram()
+        edges = np.asarray(hist._edges)
+        rng = np.random.default_rng(7)
+        values = np.exp(rng.uniform(np.log(1e-5), np.log(100.0), 2_000)).tolist()
+        for edge in [hist.low_s, *edges]:
+            values += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)]
+        overflow = len(hist._counts) - 1
+        for value in map(float, values):
+            before = hist._counts.copy()
+            hist.record(value)
+            (bucket,) = np.flatnonzero(hist._counts - before)
+            if value < hist.low_s:
+                assert bucket == 0, value
+            else:
+                index = int(np.searchsorted(edges, value, side="left"))
+                assert bucket == min(index + 1, overflow), value
+
+    @pytest.mark.parametrize(
+        "value", [float("nan"), float("inf"), float("-inf"), -1e-12]
+    )
+    def test_refuses_non_finite_and_negative_samples(self, value):
+        hist = StreamingHistogram()
+        hist.record(0.01)
+        with pytest.raises(ConfigurationError):
+            hist.record(value)
+        assert (hist.count, hist.sum_s, hist.max_s) == (1, 0.01, 0.01)
+
 
 class TestSloTracker:
     def test_counters_and_miss_rate(self):
