@@ -165,7 +165,11 @@ def test_latency_model_sample_positive(jitter):
 
 
 class PerTickFleet(VehicleFleetWorkload):
-    """The vehicle loop as it was: a new event and closure every tick."""
+    """The vehicle loop as it was: a new event and closure every tick.
+
+    Only the phases and the counters' initial state come from the class
+    under test; the loop and the outcome handlers are copies.
+    """
 
     def start(self, service, until_s):
         self._service = service
@@ -219,6 +223,19 @@ class PerTickFleet(VehicleFleetWorkload):
             scheduler.schedule_in(
                 self.dt, self._make_tick(vehicle), label="workload.vehicle"
             )
+
+    def on_response(self, request):
+        vehicle = int(request.source[4:])
+        self._outstanding[vehicle] = False
+        self._streaks[vehicle] = 0
+        self.stats.responses += 1
+        latency = request.latency_s
+        self.stats.latency_sum += latency
+        self.stats.latency_max = max(self.stats.latency_max, latency)
+
+    def on_loss(self, request):
+        self._outstanding[int(request.source[4:])] = False
+        self.stats.lost_responses += 1
 
 
 class ScriptedService:
