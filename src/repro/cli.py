@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -42,7 +43,8 @@ def _add_serve_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--vehicles", type=int, default=256,
                    help="closed-loop fleet size (20 Hz control loops)")
     p.add_argument("--rate", type=float, default=0.0,
-                   help="open-loop Poisson rate in Hz (overrides --vehicles)")
+                   help="open-loop Poisson rate in Hz (any nonzero rate "
+                        "overrides --vehicles)")
     p.add_argument("--replicas", type=int, default=4)
     p.add_argument("--batch", default="adaptive",
                    choices=["single", "size", "wait", "adaptive"])
@@ -329,7 +331,11 @@ def _cmd_pipeline(args) -> int:
 
 def _serve_params(args, faults: list) -> dict:
     deadline_s = args.deadline_ms / 1e3
-    if args.rate > 0:
+    if not 0 < deadline_s < math.inf:
+        raise ConfigurationError(
+            f"--deadline-ms must be finite and positive, got {args.deadline_ms}"
+        )
+    if args.rate != 0:
         workload = {
             "shape": "poisson", "rate_hz": args.rate, "deadline_s": deadline_s,
         }

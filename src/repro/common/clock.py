@@ -47,6 +47,7 @@ tuple-based heap.
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable
 
 from repro.common.errors import ClockError
@@ -60,7 +61,9 @@ class Clock:
     Time is a float number of seconds since an arbitrary epoch (0.0).
     ``advance`` moves time forward; ``advance_to`` jumps to an absolute
     timestamp.  Moving backwards raises :class:`ClockError` — simulated
-    time, like real time, only goes one way.
+    time, like real time, only goes one way — and so does a NaN or
+    infinite time or step, which would leave the clock where no later
+    time can follow it.
 
     >>> clock = Clock()
     >>> clock.advance(5.0)
@@ -72,8 +75,8 @@ class Clock:
     __slots__ = ("_now",)
 
     def __init__(self, start: float = 0.0) -> None:
-        if start < 0:
-            raise ClockError(f"clock cannot start before the epoch: {start}")
+        if not 0 <= start < math.inf:
+            raise ClockError(f"clock start must be finite and >= 0: {start}")
         self._now = float(start)
 
     @property
@@ -83,16 +86,17 @@ class Clock:
 
     def advance(self, seconds: float) -> float:
         """Move time forward by ``seconds`` and return the new time."""
-        if seconds < 0:
-            raise ClockError(f"cannot advance by a negative duration: {seconds}")
+        if not 0 <= seconds < math.inf:
+            raise ClockError(f"cannot advance by {seconds}: negative or not finite")
         self._now += float(seconds)
         return self._now
 
     def advance_to(self, timestamp: float) -> float:
         """Jump to an absolute ``timestamp`` (must not be in the past)."""
-        if timestamp < self._now:
+        if not self._now <= timestamp < math.inf:
             raise ClockError(
-                f"cannot move clock backwards: now={self._now}, target={timestamp}"
+                f"cannot move clock to {timestamp}: past or not finite "
+                f"(now={self._now})"
             )
         self._now = float(timestamp)
         return self._now
@@ -219,9 +223,9 @@ class EventScheduler:
     ) -> ScheduledEvent:
         """Schedule ``callback`` at absolute simulated ``timestamp``."""
         now = self.clock._now
-        if timestamp < now:
+        if not now <= timestamp < math.inf:
             raise ClockError(
-                f"cannot schedule in the past: now={now}, at={timestamp}"
+                f"cannot schedule at {timestamp}: past or not finite (now={now})"
             )
         seq = self._seq
         self._seq = seq + 1
@@ -235,8 +239,8 @@ class EventScheduler:
         self, delay: float, callback: Callable[[], Any], label: str = ""
     ) -> ScheduledEvent:
         """Schedule ``callback`` after ``delay`` seconds from now."""
-        if delay < 0:
-            raise ClockError(f"negative delay: {delay}")
+        if not 0 <= delay < math.inf:
+            raise ClockError(f"delay {delay} is negative or not finite")
         return self.schedule_at(self.clock._now + delay, callback, label)
 
     def reschedule(
@@ -257,9 +261,9 @@ class EventScheduler:
         what ``event.cancel()`` + ``schedule_at(...)`` would produce.
         """
         now = self.clock._now
-        if timestamp < now:
+        if not now <= timestamp < math.inf:
             raise ClockError(
-                f"cannot schedule in the past: now={now}, at={timestamp}"
+                f"cannot schedule at {timestamp}: past or not finite (now={now})"
             )
         if event is None:
             if callback is None:
@@ -366,9 +370,10 @@ class EventScheduler:
         callback raises, the clock stays at the failing event's time and
         the exception propagates (see the class failure contract).
         """
-        if timestamp < self.clock.now:
+        if not self.clock.now <= timestamp < math.inf:
             raise ClockError(
-                f"cannot run into the past: now={self.clock.now}, until={timestamp}"
+                f"cannot run until {timestamp}: past or not finite "
+                f"(now={self.clock.now})"
             )
         fired = self._drain(timestamp, None)
         self.clock.advance_to(timestamp)

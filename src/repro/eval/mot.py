@@ -19,7 +19,7 @@ report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Mapping, Sequence
 
 from repro.common.errors import ConfigurationError
@@ -47,18 +47,7 @@ class MotReport:
 
     def to_dict(self) -> dict:
         """JSON-ready view (scorecards)."""
-        return {
-            "frames": self.frames,
-            "gt_total": self.gt_total,
-            "matches": self.matches,
-            "misses": self.misses,
-            "false_positives": self.false_positives,
-            "id_switches": self.id_switches,
-            "mota": self.mota,
-            "association_accuracy": self.association_accuracy,
-            "mean_match_error_m": self.mean_match_error_m,
-            "jitter_m": self.jitter_m,
-        }
+        return asdict(self)
 
 
 def _distance(a: tuple[float, float], b: tuple[float, float]) -> float:

@@ -239,7 +239,7 @@ def _run_serve(spec: ScenarioSpec, seed: int, instrument: bool) -> ScenarioRun:
     tracer.close_all()
     return ScenarioRun(
         spec, seed, tracer, metrics, summary.to_text(),
-        {"summary": summary, "workload": workload, "slo": service.slo},
+        {"summary": summary, "workload": workload},
     )
 
 

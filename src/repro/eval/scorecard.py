@@ -93,14 +93,18 @@ class ScoreCard:
         )
 
 
-def _serve_groups(summary, slo, workload) -> dict[str, dict]:
+def _serve_groups(summary, workload) -> dict[str, dict]:
     """The slo / losses / staleness groups of one serve run."""
-    groups = {
+    completed = summary.completed
+    losses = summary.dropped + summary.shed + summary.rejected + summary.expired
+    return {
         "slo": {
             "offered": summary.offered,
-            "completed": summary.completed,
+            "completed": completed,
             "deadline_met": summary.deadline_met,
-            "deadline_attainment": slo.deadline_attainment,
+            "deadline_attainment": (
+                summary.deadline_met / completed if completed else 1.0
+            ),
             "deadline_miss_rate": summary.deadline_miss_rate,
             "goodput_hz": summary.goodput_hz,
             "throughput_hz": summary.throughput_hz,
@@ -114,14 +118,13 @@ def _serve_groups(summary, slo, workload) -> dict[str, dict]:
             "rejected": summary.rejected,
             "expired": summary.expired,
             "requeued": summary.requeued,
-            "conserved": summary.offered == summary.completed + slo.losses,
+            "conserved": summary.offered == completed + losses,
         },
         "staleness": {
             "stale_ticks": summary.stale_ticks,
             "stale_ratio": getattr(workload, "stale_ratio", 0.0),
         },
     }
-    return groups
 
 
 class Evaluator:
@@ -132,9 +135,7 @@ class Evaluator:
         kind = run.spec.kind
         if kind == "serve":
             groups = _serve_groups(
-                run.artifacts["summary"],
-                run.artifacts["slo"],
-                run.artifacts["workload"],
+                run.artifacts["summary"], run.artifacts["workload"]
             )
         elif kind == "fleet":
             groups = self._fleet_groups(run.artifacts["summary"])

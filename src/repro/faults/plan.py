@@ -18,6 +18,7 @@ from the fault's own seeded stream.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, fields
 from typing import Iterator, Mapping, Sequence
 
@@ -87,18 +88,22 @@ class FaultSpec:
     def __post_init__(self) -> None:
         if not self.target:
             raise ConfigurationError("fault target must be non-empty")
-        if self.at_s < 0:
-            raise ConfigurationError(f"fault at_s must be >= 0, got {self.at_s}")
-        if self.duration_s < 0:
+        if not 0 <= self.at_s < math.inf:
             raise ConfigurationError(
-                f"fault duration_s must be >= 0, got {self.duration_s}"
+                f"fault at_s must be finite and >= 0, got {self.at_s}"
+            )
+        if not 0 <= self.duration_s < math.inf:
+            raise ConfigurationError(
+                f"fault duration_s must be finite and >= 0, got {self.duration_s}"
             )
         if self.kind in WINDOW_KINDS and self.duration_s <= 0:
             raise ConfigurationError(
                 f"{self.kind.value} fault needs a positive duration_s"
             )
-        if self.factor < 1.0:
-            raise ConfigurationError(f"fault factor must be >= 1, got {self.factor}")
+        if not 1.0 <= self.factor < math.inf:
+            raise ConfigurationError(
+                f"fault factor must be finite and >= 1, got {self.factor}"
+            )
         if not 0.0 <= self.error_rate <= 1.0:
             raise ConfigurationError(
                 f"error_rate must be in [0, 1], got {self.error_rate}"

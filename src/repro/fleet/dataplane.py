@@ -69,15 +69,6 @@ class CollectReport:
     flushed_records: int
     failed_flushes: int
 
-    def to_dict(self) -> dict:
-        """JSON-ready view."""
-        return {
-            "round_no": self.round_no,
-            "flushed_shards": self.flushed_shards,
-            "flushed_records": self.flushed_records,
-            "failed_flushes": self.failed_flushes,
-        }
-
 
 @dataclass(frozen=True)
 class IngestReport:
@@ -89,17 +80,6 @@ class IngestReport:
     dropped_records: int
     skipped_objects: int
     failed_reads: int
-
-    def to_dict(self) -> dict:
-        """JSON-ready view."""
-        return {
-            "round_no": self.round_no,
-            "fresh_shards": self.fresh_shards,
-            "fresh_records": self.fresh_records,
-            "dropped_records": self.dropped_records,
-            "skipped_objects": self.skipped_objects,
-            "failed_reads": self.failed_reads,
-        }
 
 
 class FleetDataPlane:

@@ -63,15 +63,6 @@ class GateDecision:
     passed: bool
     reasons: tuple[str, ...]
 
-    def to_dict(self) -> dict:
-        """JSON-ready view (round reports, golden summaries)."""
-        return {
-            "stage": self.stage,
-            "version": self.version,
-            "passed": self.passed,
-            "reasons": list(self.reasons),
-        }
-
 
 def evaluate_gate(
     stage: str,

@@ -21,7 +21,7 @@ and property suites lock.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from repro.artifacts.trovi import TroviHub
 from repro.common.clock import EventScheduler
@@ -62,19 +62,6 @@ class RoundReport:
     stable_version: int
     promotion_latency_s: float
 
-    def to_dict(self) -> dict:
-        """JSON-ready view."""
-        return {
-            "round_no": self.round_no,
-            "poisoned": self.poisoned,
-            "collect": self.collect.to_dict(),
-            "ingest": self.ingest.to_dict(),
-            "train": self.train.to_dict() if self.train else None,
-            "rollout": self.rollout.to_dict() if self.rollout else None,
-            "stable_version": self.stable_version,
-            "promotion_latency_s": self.promotion_latency_s,
-        }
-
 
 @dataclass(frozen=True)
 class FleetSummary:
@@ -100,17 +87,8 @@ class FleetSummary:
         return sum(latencies) / len(latencies) if latencies else 0.0
 
     def to_dict(self) -> dict:
-        """JSON-ready view (golden summaries, benchmarks)."""
-        return {
-            "rounds": [report.to_dict() for report in self.rounds],
-            "elapsed_s": self.elapsed_s,
-            "records_flushed": self.records_flushed,
-            "records_ingested": self.records_ingested,
-            "candidates_published": self.candidates_published,
-            "promotions": self.promotions,
-            "rollbacks": self.rollbacks,
-            "final_stable": self.final_stable,
-        }
+        """JSON-ready view (golden summaries, benchmarks), reports nested."""
+        return asdict(self)
 
     def to_text(self) -> str:
         """Fixed-format report; byte-identical across same-seed runs."""

@@ -80,17 +80,6 @@ class StageReport:
     crashes: int
     decision: GateDecision
 
-    def to_dict(self) -> dict:
-        """JSON-ready view."""
-        return {
-            "stage": self.stage,
-            "candidate": self.candidate.to_dict(),
-            "baseline": self.baseline.to_dict(),
-            "stale_ratio": self.stale_ratio,
-            "crashes": self.crashes,
-            "decision": self.decision.to_dict(),
-        }
-
 
 @dataclass(frozen=True)
 class RolloutReport:
@@ -103,18 +92,6 @@ class RolloutReport:
     new_stable: int
     history: tuple[str, ...]
     stages: tuple[StageReport, ...]
-
-    def to_dict(self) -> dict:
-        """JSON-ready view."""
-        return {
-            "round_no": self.round_no,
-            "candidate_version": self.candidate_version,
-            "outcome": self.outcome,
-            "prior_stable": self.prior_stable,
-            "new_stable": self.new_stable,
-            "history": list(self.history),
-            "stages": [stage.to_dict() for stage in self.stages],
-        }
 
 
 class RolloutController:
@@ -274,7 +251,10 @@ class RolloutController:
             # Per-batch serve spans are deliberately not traced here: the
             # fleet golden locks loop-level structure (rounds, stages,
             # gates); serve-span detail is covered by the serve goldens.
-            metrics=self.metrics,
+            # A child view: the stage's summary, conservation check and
+            # crash count read only its own records, and the run's serve
+            # series still get every record.
+            metrics=self.metrics.child(),
         )
         candidate_model = self.registry.load(candidate, compile_plans=True)
         for _ in range(config.canary_replicas):

@@ -54,20 +54,6 @@ class VersionStats:
             return 0.0
         return 1.0 - self.deadline_met / self.completed
 
-    def to_dict(self) -> dict:
-        """JSON-ready view (stage reports)."""
-        return {
-            "version": self.version,
-            "offered": self.offered,
-            "completed": self.completed,
-            "deadline_met": self.deadline_met,
-            "losses": self.losses,
-            "p95_ms": self.p95_ms,
-            "mean_ms": self.mean_ms,
-            "mean_cte_m": self.mean_cte_m,
-            "max_cte_m": self.max_cte_m,
-        }
-
 
 class _Accumulator:
     """Mutable per-version tallies behind :class:`VersionStats`."""

@@ -50,20 +50,6 @@ class TrainReport:
     warm_start: int  # version warm-started from, 0 = cold start
     published_at_s: float
 
-    def to_dict(self) -> dict:
-        """JSON-ready view."""
-        return {
-            "round_no": self.round_no,
-            "version": self.version,
-            "samples": self.samples,
-            "epochs": self.epochs,
-            "val_loss": self.val_loss,
-            "eval_cte_m": self.eval_cte_m,
-            "train_s": self.train_s,
-            "warm_start": self.warm_start,
-            "published_at_s": self.published_at_s,
-        }
-
 
 class IncrementalTrainer:
     """Retrains and publishes candidates when fresh data warrants it."""

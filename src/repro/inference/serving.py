@@ -41,8 +41,6 @@ class ServingStats:
     latency_max: float = 0.0
     ticks: int = 0
     dt: float = 0.0
-    lost_responses: int = 0
-    max_stale_streak: int = 0
 
     @property
     def mean_latency(self) -> float:

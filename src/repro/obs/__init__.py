@@ -13,7 +13,9 @@ reproduction likewise needs one place where a whole run's behaviour is
 * :class:`MetricsRegistry` holds labelled :class:`Counter` /
   :class:`Gauge` / :class:`Histogram` series (the histogram reuses
   :class:`StreamingHistogram`, lifted here from ``serve/slo.py``) and
-  snapshots deterministically.
+  snapshots deterministically.  :meth:`MetricsRegistry.child` gives one
+  component a view of its own records whose every record also reaches
+  the run's registry.
 * :mod:`repro.obs.export` renders traces to Chrome ``trace_event``
   JSON, a stable text tree, and the normalised form the golden-trace
   regression suite pins.

@@ -7,7 +7,11 @@ Prometheus-style: ``serve.requests{outcome=completed}``.  Snapshots and
 exports sort every key, so the same run produces byte-identical output.
 A component records through one :class:`SeriesHandle` per series, which
 looks the series up at its first record and holds it, so no hot path
-formats a key.
+formats a key.  :meth:`MetricsRegistry.child` gives one component its
+own view: each record lands in the child's series and, through that
+series' ``parent``, in the parent registry's series with the same key,
+so the parent keeps the run totals and the child only that component's
+records.  Outside a child view every ``parent`` is None.
 
 :class:`StreamingHistogram` is a generic streaming-percentile structure,
 not a serving detail: log-spaced buckets with constant relative error
@@ -123,11 +127,12 @@ def series_key(name: str, labels: dict[str, str]) -> str:
 class Counter:
     """A monotone non-decreasing count."""
 
-    __slots__ = ("key", "value")
+    __slots__ = ("key", "value", "parent")
 
     def __init__(self, key: str) -> None:
         self.key = key
         self.value = 0.0
+        self.parent: Counter | None = None
 
     def inc(self, amount: float = 1.0) -> None:
         """Add ``amount`` (must be non-negative — counters never go down)."""
@@ -136,34 +141,41 @@ class Counter:
                 f"counter {self.key} cannot decrease (inc by {amount})"
             )
         self.value += float(amount)
+        if self.parent is not None:
+            self.parent.inc(amount)
 
 
 class Gauge:
     """A value that can move both ways (fleet size, queue depth)."""
 
-    __slots__ = ("key", "value")
+    __slots__ = ("key", "value", "parent")
 
     def __init__(self, key: str) -> None:
         self.key = key
         self.value = 0.0
+        self.parent: Gauge | None = None
 
     def set(self, value: float) -> None:
         """Set the gauge to ``value``."""
         self.value = float(value)
+        if self.parent is not None:
+            self.parent.set(value)
 
     def inc(self, amount: float = 1.0) -> None:
         """Move the gauge up by ``amount``."""
         self.value += float(amount)
+        if self.parent is not None:
+            self.parent.inc(amount)
 
     def dec(self, amount: float = 1.0) -> None:
         """Move the gauge down by ``amount``."""
-        self.value -= float(amount)
+        self.inc(-amount)
 
 
 class Histogram:
     """A labelled series over a :class:`StreamingHistogram`."""
 
-    __slots__ = ("key", "hist")
+    __slots__ = ("key", "hist", "parent")
 
     def __init__(
         self,
@@ -174,10 +186,13 @@ class Histogram:
     ) -> None:
         self.key = key
         self.hist = StreamingHistogram(low_s, high_s, buckets_per_decade)
+        self.parent: Histogram | None = None
 
     def observe(self, value: float) -> None:
         """Fold one sample into the histogram."""
         self.hist.record(value)
+        if self.parent is not None:
+            self.parent.observe(value)
 
     def summary(self) -> dict[str, float]:
         """Deterministic digest: count, sum, mean, max, p50/p95/p99."""
@@ -249,6 +264,21 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._series: dict[str, Counter | Gauge | Histogram] = {}
         self._kinds: dict[str, type] = {}
+        self._parent: MetricsRegistry | None = None
+
+    def child(self) -> MetricsRegistry:
+        """A view for one component whose every record also lands here.
+
+        Each series of the view is created at its first record and binds
+        this registry's series with the same key, creating it if need
+        be; every record then goes to both.  This registry therefore
+        sees the same records in the same order as if the component
+        recorded here directly, while the view holds only the
+        component's own.
+        """
+        view = MetricsRegistry()
+        view._parent = self
+        return view
 
     def _get(
         self,
@@ -269,8 +299,23 @@ class MetricsRegistry:
         series = self._series.get(key)
         if series is None:
             series = factory(key)
+            if self._parent is not None:
+                series.parent = self._parent._get(name, labels, kind, factory)
             self._series[key] = series
         return series
+
+    def find(self, name: str, **labels: str) -> Counter | Gauge | Histogram | None:
+        """The series ``name`` + ``labels``, or None before its first record.
+
+        Unlike :meth:`counter` and its kin this never creates a series,
+        so reading leaves the snapshot as it was.
+        """
+        return self._series.get(series_key(name, labels))
+
+    def count(self, name: str, **labels: str) -> int:
+        """Counter ``name`` + ``labels`` as an int; 0 before its first record."""
+        series = self.find(name, **labels)
+        return int(series.value) if series is not None else 0
 
     def counter(self, name: str, **labels: str) -> Counter:
         """Get or create the counter series ``name`` + ``labels``."""

@@ -162,7 +162,6 @@ class Replica:
         self.inflight: tuple[Request, ...] = ()
         self.batches = 0
         self.served = 0
-        self.busy_s = 0.0
         self.ready_at = -1.0
         self.hung_until = -1.0
         self._rng = ensure_rng(rng)

@@ -135,7 +135,6 @@ class InferenceService:
         queue_policy: str = "drop",
         route: Route | None = None,
         seed: int = 0,
-        slo_window_s: float = 2.0,
         keep_requests: bool = False,
         injector: FaultInjector | None = None,
         breaker_policy: BreakerPolicy | None = None,
@@ -179,12 +178,10 @@ class InferenceService:
         self._replica_spans: dict[str, Span] = {}
         self._request_spans: dict[str, Span] = {}
         self._hang_spans: dict[str, Span] = {}
-        self.slo = SloTracker(window_s=slo_window_s, metrics=self.metrics)
+        self.slo = SloTracker(metrics=self.metrics)
         self.replicas: list[Replica] = []
         self.requests: list[Request] = []
         self.injector = injector
-        self.crashes = 0
-        self.hangs = 0
         self._breaker_policy = breaker_policy
         if self._breaker_policy is None and injector is not None:
             self._breaker_policy = BreakerPolicy()
@@ -266,6 +263,16 @@ class InferenceService:
         span = self._replica_spans.pop(replica_id, None)
         if span is not None:
             self.tracer.end(span, status=status, error=error)
+
+    @property
+    def crashes(self) -> int:
+        """Replica crashes so far: the ``serve.faults{kind=crash}`` count."""
+        return self.metrics.count("serve.faults", kind="crash")
+
+    @property
+    def hangs(self) -> int:
+        """Replica hangs so far: the ``serve.faults{kind=hang}`` count."""
+        return self.metrics.count("serve.faults", kind="hang")
 
     def breaker_for(self, replica_id: str) -> CircuitBreaker | None:
         """The per-replica circuit breaker (None without a policy)."""
@@ -434,7 +441,6 @@ class InferenceService:
 
     def _crash(self, replica: Replica, now: float) -> None:
         """Kill one replica; rescue its queued and in-flight requests."""
-        self.crashes += 1
         wake = self._wakes.pop(replica.replica_id, None)
         if wake is not None:
             wake.cancel()
@@ -488,7 +494,6 @@ class InferenceService:
 
     def _hang(self, replica: Replica, now: float, until_s: float) -> None:
         """Freeze one replica until ``until_s``; in-flight work stalls."""
-        self.hangs += 1
         if self.tracer.enabled:
             stale = self._hang_spans.pop(replica.replica_id, None)
             if stale is not None:
@@ -655,7 +660,6 @@ class InferenceService:
         replica.busy = False
         replica.inflight = ()
         replica.served += len(batch)
-        replica.busy_s += latency
         breaker = self._breakers.get(replica.replica_id)
         if breaker is not None:
             if breaker.state is not BreakerState.CLOSED:
@@ -682,8 +686,10 @@ class InferenceService:
         holds queued or in-flight work, else :class:`ServeError` (a
         request lost in a crash is a bug in the rescue path).
         """
-        if duration_s <= 0:
-            raise ConfigurationError(f"duration_s must be positive, got {duration_s}")
+        if not 0 < duration_s < math.inf:
+            raise ConfigurationError(
+                f"duration_s must be finite and positive, got {duration_s}"
+            )
         if self.model is not None and not workload.provides_frames:
             raise ConfigurationError(
                 "service has a real model but the workload generates no "

@@ -22,13 +22,13 @@ forward passes are wanted.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
 from repro.common.clock import ScheduledEvent
 from repro.common.errors import ConfigurationError
 from repro.common.rng import ensure_rng
-from repro.inference.serving import ServingStats
 from repro.serve.request import Request
 
 __all__ = ["Workload", "PoissonWorkload", "VehicleFleetWorkload"]
@@ -84,10 +84,14 @@ class PoissonWorkload(Workload):
         priority: int = 0,
         source: str = "open-loop",
     ) -> None:
-        if rate_hz <= 0:
-            raise ConfigurationError(f"rate_hz must be positive, got {rate_hz}")
-        if deadline_s <= 0:
-            raise ConfigurationError(f"deadline_s must be positive, got {deadline_s}")
+        if not 0 < rate_hz < math.inf:
+            raise ConfigurationError(
+                f"rate_hz must be finite and positive, got {rate_hz}"
+            )
+        if not 0 < deadline_s < math.inf:
+            raise ConfigurationError(
+                f"deadline_s must be finite and positive, got {deadline_s}"
+            )
         self.rate_hz = float(rate_hz)
         self.deadline_s = float(deadline_s)
         self.priority = int(priority)
@@ -141,14 +145,19 @@ class VehicleFleetWorkload(Workload):
     A tick submits a request when the vehicle has none in flight;
     otherwise it is *stale*: the vehicle drives on its old command.
 
+    The loop counts only what the service cannot see: ``ticks``,
+    ``stale_ticks`` and ``max_stale_streak``, the longest run of stale
+    ticks one vehicle drove through.  Requests, responses and losses
+    are the service's to count.
+
     **Events.**  Every tick, stale or fresh, is one ``workload.vehicle``
-    scheduler event, and stale ticks are counted as they run, so
-    ``stats``, ``ticks``, ``stale_ticks`` and the fresh-ratio timeline
-    are current whenever they are read.  Each vehicle owns one
-    :class:`~repro.common.clock.ScheduledEvent` (and one callback),
-    made at :meth:`start`; the end of every tick moves it to the next
-    tick with :meth:`~repro.common.clock.EventScheduler.reschedule`, so
-    a tick allocates no event and no closure.
+    scheduler event, and stale ticks are counted as they run, so the
+    counts and the fresh-ratio timeline are current whenever they are
+    read.  Each vehicle owns one :class:`~repro.common.clock.ScheduledEvent`
+    (and one callback), made at :meth:`start`; the end of every tick
+    moves it to the next tick with
+    :meth:`~repro.common.clock.EventScheduler.reschedule`, so a tick
+    allocates no event and no closure.
 
     **Ties.**  A response or loss at the exact instant of one of its
     vehicle's ticks is ordered by the scheduler's ``(time, seq)`` rule:
@@ -170,8 +179,8 @@ class VehicleFleetWorkload(Workload):
     ) -> None:
         if n_vehicles < 1:
             raise ConfigurationError(f"need >= 1 vehicle, got {n_vehicles}")
-        if dt <= 0:
-            raise ConfigurationError(f"dt must be positive, got {dt}")
+        if not 0 < dt < math.inf:
+            raise ConfigurationError(f"dt must be finite and positive, got {dt}")
         if deadline_ticks < 1:
             raise ConfigurationError(
                 f"deadline_ticks must be >= 1, got {deadline_ticks}"
@@ -190,7 +199,9 @@ class VehicleFleetWorkload(Workload):
             for vehicle in range(self.n_vehicles)
         ]
         self._outstanding = [False] * self.n_vehicles
-        self.stats = ServingStats(dt=self.dt)
+        self.ticks = 0
+        self.stale_ticks = 0
+        self.max_stale_streak = 0
         self._streaks = [0] * self.n_vehicles
         self._buckets: dict[int, list[int]] = {}
         self.timeline_bucket_s = 1.0
@@ -205,24 +216,9 @@ class VehicleFleetWorkload(Workload):
         return self._count
 
     @property
-    def ticks(self) -> int:
-        """Total vehicle-loop ticks across the fleet."""
-        return self.stats.ticks
-
-    @property
-    def stale_ticks(self) -> int:
-        """Ticks driven on a stale command (request still in flight)."""
-        return self.stats.stale_ticks
-
-    @property
     def stale_ratio(self) -> float:
         """Fraction of fleet ticks driven on a stale command."""
-        return self.stats.stale_ticks / self.stats.ticks if self.stats.ticks else 0.0
-
-    @property
-    def fresh_response_ratio(self) -> float:
-        """Responses delivered per request issued across the fleet."""
-        return self.stats.fresh_response_ratio
+        return self.stale_ticks / self.ticks if self.ticks else 0.0
 
     def fresh_ratio_timeline(self) -> list[tuple[float, float]]:
         """Per-bucket (start_s, fresh-tick ratio) pairs, time-ordered.
@@ -255,8 +251,7 @@ class VehicleFleetWorkload(Workload):
     def _tick(self, vehicle: int) -> None:
         scheduler = self._scheduler
         now = scheduler.clock.now
-        stats = self.stats
-        stats.ticks += 1
+        self.ticks += 1
         index = int(now // self.timeline_bucket_s)
         bucket = self._buckets.get(index)
         if bucket is None:
@@ -264,11 +259,11 @@ class VehicleFleetWorkload(Workload):
         bucket[1] += 1
         if self._outstanding[vehicle]:
             # Previous command still in flight: drive on the stale one.
-            stats.stale_ticks += 1
+            self.stale_ticks += 1
             streak = self._streaks[vehicle] + 1
             self._streaks[vehicle] = streak
-            if streak > stats.max_stale_streak:
-                stats.max_stale_streak = streak
+            if streak > self.max_stale_streak:
+                self.max_stale_streak = streak
         else:
             bucket[0] += 1
             self._streaks[vehicle] = 0
@@ -284,7 +279,6 @@ class VehicleFleetWorkload(Workload):
                 frame=frame,
             )
             self._outstanding[vehicle] = True
-            stats.requests += 1
             self._service.submit(request)
         if now + self.dt < self._until_s:
             scheduler.reschedule(self._handles[vehicle], now + self.dt)
@@ -295,17 +289,10 @@ class VehicleFleetWorkload(Workload):
         return int(source[4:])
 
     def on_response(self, request: Request) -> None:
+        # Answered or lost, the vehicle's next tick submits again (and
+        # restarts its stale streak).
         vehicle = self._vehicle_index(request.source)
         if vehicle is not None:
             self._outstanding[vehicle] = False
-            self._streaks[vehicle] = 0
-            self.stats.responses += 1
-            latency = request.latency_s
-            self.stats.latency_sum += latency
-            self.stats.latency_max = max(self.stats.latency_max, latency)
 
-    def on_loss(self, request: Request) -> None:
-        vehicle = self._vehicle_index(request.source)
-        if vehicle is not None:
-            self._outstanding[vehicle] = False
-            self.stats.lost_responses += 1
+    on_loss = on_response

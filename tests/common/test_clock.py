@@ -400,3 +400,76 @@ class TestFireHook:
         sched.schedule_at(1.0, lambda: None)
         sched.run_all()
         assert seen == []
+
+
+NON_FINITE = pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), float("-inf")], ids=["nan", "inf", "-inf"]
+)
+
+
+class TestNonFiniteTimes:
+    """A NaN or infinite time or delay is refused and changes nothing.
+
+    NaN compares false against everything, so a plain ``t < now`` check
+    let it through: a NaN event never became due and ``run_all`` never
+    returned, and a NaN or infinite clock reading admitted no later
+    time.
+    """
+
+    @NON_FINITE
+    def test_clock_start(self, value):
+        with pytest.raises(ClockError):
+            Clock(value)
+
+    @NON_FINITE
+    def test_clock_advance(self, value):
+        clock = Clock(2.0)
+        with pytest.raises(ClockError):
+            clock.advance(value)
+        assert clock.now == 2.0
+
+    @NON_FINITE
+    def test_clock_advance_to(self, value):
+        clock = Clock(2.0)
+        with pytest.raises(ClockError):
+            clock.advance_to(value)
+        assert clock.now == 2.0
+
+    @NON_FINITE
+    def test_schedule_at(self, value):
+        sched = EventScheduler()
+        with pytest.raises(ClockError):
+            sched.schedule_at(value, lambda: None)
+        assert sched.pending == 0 and sched.heap_size == 0
+        assert sched.run_all() == 0
+
+    @NON_FINITE
+    def test_schedule_in(self, value):
+        sched = EventScheduler()
+        sched.clock.advance(1.0)
+        with pytest.raises(ClockError):
+            sched.schedule_in(value, lambda: None)
+        assert sched.pending == 0 and sched.heap_size == 0
+
+    @NON_FINITE
+    def test_reschedule(self, value):
+        sched = EventScheduler()
+        fired = []
+        event = sched.schedule_at(1.0, lambda: fired.append(sched.clock.now))
+        with pytest.raises(ClockError):
+            sched.reschedule(event, value)
+        with pytest.raises(ClockError):
+            sched.reschedule(None, value, lambda: None)
+        assert sched.pending == 1
+        assert sched.run_all() == 1
+        assert fired == [1.0]
+
+    @NON_FINITE
+    def test_run_until(self, value):
+        sched = EventScheduler()
+        fired = []
+        sched.schedule_at(1.0, lambda: fired.append("x"))
+        with pytest.raises(ClockError):
+            sched.run_until(value)
+        assert fired == [] and sched.clock.now == 0.0
+        assert sched.pending == 1

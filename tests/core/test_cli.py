@@ -203,8 +203,14 @@ class TestBadInput:
         '[{"kind": "replica-crash", "target": "replica:any"}]',
         '[{"kind": "replica-crash", "target": "replica:any", "at": 1}]',
         '[{"kind": "replica-crash", "target": "replica:any", "at_s": "x"}]',
+        '[{"kind": "replica-crash", "target": "replica:any", "at_s": NaN}]',
+        '[{"kind": "replica-hang", "target": "replica:any", "at_s": 1,'
+        ' "duration_s": Infinity}]',
+        '[{"kind": "slow-node", "target": "replica-*", "at_s": 1,'
+        ' "duration_s": 1, "factor": NaN}]',
     ], ids=[
         "not-json", "not-a-list", "no-start", "misspelled-key", "not-a-number",
+        "nan-start", "infinite-duration", "nan-factor",
     ])
     def test_malformed_faults_file(self, tmp_path, capsys, content):
         path = tmp_path / "faults.json"
@@ -215,6 +221,24 @@ class TestBadInput:
         missing = tmp_path / "absent.json"
         line = self.assert_error(capsys, ["chaos", "--faults", str(missing)])
         assert "absent.json" in line
+
+    @pytest.mark.parametrize("argv", [
+        ["--rate", "inf", "--duration", "1"],
+        ["--rate", "nan", "--duration", "1"],
+        ["--rate", "50", "--deadline-ms", "inf", "--duration", "1"],
+        ["--vehicles", "4", "--deadline-ms", "nan", "--duration", "1"],
+        ["--vehicles", "4", "--duration", "inf"],
+        ["--vehicles", "4", "--duration", "nan"],
+    ], ids=[
+        "infinite-rate", "nan-rate", "infinite-deadline", "nan-deadline",
+        "infinite-duration", "nan-duration",
+    ])
+    def test_non_finite_serve_numbers(self, capsys, argv):
+        # An infinite rate or duration never returned, a NaN duration
+        # printed a summary of zeros, and a NaN rate ran the vehicle
+        # fleet instead of the Poisson workload it asked for.
+        line = self.assert_error(capsys, ["serve", *argv])
+        assert "finite" in line
 
     def test_spec_the_runner_rejects(self, capsys):
         line = self.assert_error(capsys, ["serve", "--replicas", "0"])

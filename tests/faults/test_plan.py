@@ -33,6 +33,14 @@ class TestFaultSpec:
         with pytest.raises(ConfigurationError):
             FaultSpec(FaultKind.STORE_ERROR, "x", at_s=0.0, duration_s=1.0,
                       error_rate=1.5)
+        # NaN passed every ``<`` check, and a scenario file can hold NaN
+        # or Infinity: Python's json parses both literals.
+        for field in ("at_s", "duration_s", "factor"):
+            for value in (float("nan"), float("inf")):
+                numbers = {"at_s": 1.0, "duration_s": 1.0, "factor": 2.0}
+                numbers[field] = value
+                with pytest.raises(ConfigurationError, match=field):
+                    FaultSpec(FaultKind.SLOW_NODE, "x", **numbers)
 
     def test_exact_and_wildcard_matching(self):
         exact = FaultSpec(FaultKind.REPLICA_CRASH, "replica-0001", at_s=0.0)

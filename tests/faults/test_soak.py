@@ -40,18 +40,18 @@ def soak(seed):
         min_replicas=REPLICAS, max_replicas=2 * REPLICAS,
         interval_s=0.5, provision_delay_s=0.5,
     ))
-    service.run(workload, DURATION_S, autoscaler=autoscaler)
-    return plan, service, workload
+    summary = service.run(workload, DURATION_S, autoscaler=autoscaler)
+    return plan, service, workload, summary
 
 
 @pytest.mark.parametrize("seed", SOAK_SEEDS)
 def test_fleet_rides_out_randomized_faults(seed):
-    plan, service, workload = soak(seed)
+    plan, service, workload, summary = soak(seed)
     assert service.crashes + service.hangs > 0, "the plan must actually bite"
     assert plan.last_clear_s <= DURATION_S * 0.65 + 1e-9
 
     # Floor: the fleet keeps answering through the faults.
-    assert workload.fresh_response_ratio >= 0.9
+    assert summary.completed / summary.offered >= 0.9
 
     # Conservation holds under randomized chaos too.
     slo = service.slo
@@ -77,10 +77,10 @@ def test_fleet_rides_out_randomized_faults(seed):
 
 def test_soak_is_deterministic_per_seed():
     def fingerprint():
-        _, service, workload = soak(SOAK_SEEDS[0])
+        _, service, workload, summary = soak(SOAK_SEEDS[0])
         return (
             service.slo.offered, service.slo.completed, service.crashes,
-            service.hangs, workload.fresh_response_ratio,
+            service.hangs, workload.max_stale_streak, summary.to_text(),
             tuple(workload.fresh_ratio_timeline()),
         )
 

@@ -166,6 +166,73 @@ class TestMetricsInvariants:
         assert build().to_text() == build().to_text()
 
 
+#: (kind, name, labels) of the series a random record program writes.
+CHILD_SERIES = [
+    ("counter", "prop.events", {"kind": "a"}),
+    ("counter", "prop.events", {"kind": "b"}),
+    ("gauge", "prop.level", {}),
+    ("histogram", "prop.latency", {}),
+    ("histogram", "prop.latency", {"stage": "x"}),
+]
+
+#: One record: (which view, series index, operation, value).
+child_records = st.lists(
+    st.tuples(
+        st.sampled_from(["parent", "left", "right"]),
+        st.integers(0, len(CHILD_SERIES) - 1),
+        st.sampled_from(["inc", "set", "dec"]),
+        st.floats(0.0, 50.0, allow_nan=False, allow_infinity=False),
+    ),
+    max_size=60,
+)
+
+
+def make_record(registry, index, op, value):
+    """Apply one record to ``registry`` (gauges take every op)."""
+    kind, name, labels = CHILD_SERIES[index]
+    if kind == "counter":
+        registry.counter(name, **labels).inc(value)
+    elif kind == "histogram":
+        registry.histogram(name, **labels).observe(value)
+    else:
+        getattr(registry.gauge(name, **labels), op)(value)
+
+
+class TestChildViews:
+    @SLOW_SETTINGS
+    @given(records=child_records)
+    def test_parent_holds_every_record_and_children_their_own(self, records):
+        parent = MetricsRegistry()
+        views = {"parent": parent, "left": parent.child(), "right": parent.child()}
+        merged = MetricsRegistry()
+        alone = {"left": MetricsRegistry(), "right": MetricsRegistry()}
+        for who, index, op, value in records:
+            make_record(views[who], index, op, value)
+            make_record(merged, index, op, value)
+            if who in alone:
+                make_record(alone[who], index, op, value)
+        assert parent.to_json() == merged.to_json()
+        for who, registry in alone.items():
+            assert views[who].to_json() == registry.to_json()
+
+    def test_reading_creates_no_series(self):
+        parent = MetricsRegistry()
+        child = parent.child()
+        assert child.find("prop.events", kind="a") is None
+        assert child.count("prop.events", kind="a") == 0
+        assert len(child) == len(parent) == 0
+        child.counter("prop.events", kind="a").inc(2.0)
+        assert child.count("prop.events", kind="a") == 2
+        assert parent.count("prop.events", kind="a") == 2
+        assert parent.find("prop.events", kind="b") is None
+
+    def test_a_child_cannot_change_a_parent_series_kind(self):
+        parent = MetricsRegistry()
+        parent.gauge("prop.level").set(1.0)
+        with pytest.raises(ConfigurationError):
+            parent.child().counter("prop.level")
+
+
 class TestSameSeedSameBytes:
     @SLOW_SETTINGS
     @given(seed=st.integers(0, 2**16), rate=st.floats(20.0, 400.0))

@@ -8,7 +8,6 @@ response timing, same-instant ties included, and the admission
 queue's deadline heap must answer what full scans of the queue do.
 """
 
-import dataclasses
 import functools
 from collections import Counter
 
@@ -190,7 +189,7 @@ class PerTickFleet(VehicleFleetWorkload):
     def _tick(self, vehicle):
         scheduler = self._service.scheduler
         now = scheduler.clock.now
-        self.stats.ticks += 1
+        self.ticks += 1
         stale = self._outstanding[vehicle]
         bucket = self._buckets.setdefault(
             int(now // self.timeline_bucket_s), [0, 0]
@@ -198,10 +197,10 @@ class PerTickFleet(VehicleFleetWorkload):
         bucket[0] += 0 if stale else 1
         bucket[1] += 1
         if stale:
-            self.stats.stale_ticks += 1
+            self.stale_ticks += 1
             self._streaks[vehicle] += 1
-            self.stats.max_stale_streak = max(
-                self.stats.max_stale_streak, self._streaks[vehicle]
+            self.max_stale_streak = max(
+                self.max_stale_streak, self._streaks[vehicle]
             )
         else:
             self._streaks[vehicle] = 0
@@ -217,7 +216,6 @@ class PerTickFleet(VehicleFleetWorkload):
                 frame=frame,
             )
             self._outstanding[vehicle] = True
-            self.stats.requests += 1
             self._service.submit(request)
         if now + self.dt < self._until_s:
             scheduler.schedule_in(
@@ -228,14 +226,9 @@ class PerTickFleet(VehicleFleetWorkload):
         vehicle = int(request.source[4:])
         self._outstanding[vehicle] = False
         self._streaks[vehicle] = 0
-        self.stats.responses += 1
-        latency = request.latency_s
-        self.stats.latency_sum += latency
-        self.stats.latency_max = max(self.stats.latency_max, latency)
 
     def on_loss(self, request):
         self._outstanding[int(request.source[4:])] = False
-        self.stats.lost_responses += 1
 
 
 class ScriptedService:
@@ -305,14 +298,14 @@ class ScriptedService:
 
 
 def fleet_readings(workload):
-    return (
-        dataclasses.asdict(workload.stats),
-        workload.submitted,
-        workload.ticks,
-        workload.stale_ticks,
-        workload.stale_ratio,
-        workload.fresh_ratio_timeline(),
-    )
+    return {
+        "requests": workload.submitted,
+        "ticks": workload.ticks,
+        "stale_ticks": workload.stale_ticks,
+        "max_stale_streak": workload.max_stale_streak,
+        "stale_ratio": workload.stale_ratio,
+        "timeline": workload.fresh_ratio_timeline(),
+    }
 
 
 def drive_fleet(fleet_cls, n_vehicles, dt, deadline_ticks, seed, until_s,
@@ -375,7 +368,7 @@ class TestVehicleLoop:
             args = (1, 0.05, 2, 3, 1.0, 0.5, [("respond", ("tick", 2, how))])
             readings = drive_fleet(VehicleFleetWorkload, *args)
             assert readings == drive_fleet(PerTickFleet, *args)
-            stats[how] = readings[2][0]
+            stats[how] = readings[2]
         assert stats["direct"]["ticks"] == stats["between"]["ticks"] == 20
         assert (stats["direct"]["requests"], stats["direct"]["stale_ticks"]) == (
             10, 10

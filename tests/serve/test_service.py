@@ -107,6 +107,12 @@ class TestLifecycle:
             make_service(n_replicas=0)
         with pytest.raises(ConfigurationError):
             make_service().run(PoissonWorkload(10.0, seed=0), 0.0)
+        # NaN ran nothing and summarised zeros; inf never returned.
+        for value in (float("nan"), float("inf")):
+            service = make_service()
+            with pytest.raises(ConfigurationError, match="duration_s"):
+                service.run(PoissonWorkload(10.0, seed=0), value)
+            assert service.scheduler.pending == 0
 
 
 class TestDeterminism:

@@ -72,6 +72,13 @@ class TestPoissonWorkload:
             PoissonWorkload(10.0, deadline_s=0.0)
         with pytest.raises(ConfigurationError):
             PoissonWorkload(10.0, frame_shape=(8, 10))
+        # An infinite rate scheduled arrivals zero seconds apart forever;
+        # a NaN deadline never expired and never counted as met.
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="rate_hz"):
+                PoissonWorkload(value)
+            with pytest.raises(ConfigurationError, match="deadline_s"):
+                PoissonWorkload(10.0, deadline_s=value)
 
 
 class TestVehicleFleetWorkload:
@@ -129,3 +136,7 @@ class TestVehicleFleetWorkload:
             VehicleFleetWorkload(4, dt=0.0)
         with pytest.raises(ConfigurationError):
             VehicleFleetWorkload(4, deadline_ticks=0)
+        # A NaN dt used to reach numpy's uniform() as an OverflowError.
+        for value in (float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError, match="dt"):
+                VehicleFleetWorkload(4, dt=value)
