@@ -2,8 +2,9 @@
 
 A ``drive`` scenario puts N scripted students on one track (phase-
 staggered around the centreline), ticks them in lockstep on the run's
-:class:`~repro.common.clock.EventScheduler`, and records two aligned
-frame sequences:
+:class:`~repro.common.clock.EventScheduler` — one array pass over the
+whole :class:`~repro.sim.session.FleetSession` per tick — and records
+two aligned frame sequences:
 
 * ground truth — each vehicle's true position per tick;
 * tracker output — the estimates of :class:`GreedyTracker`, a small
@@ -12,9 +13,11 @@ frame sequences:
   for the MOT-style metrics in :mod:`repro.eval.mot`.
 
 Driving quality (lap times, cross-track error, crashes) comes straight
-from the sessions.  Everything is a pure function of the spec params
-and the seed: per-vehicle dynamics, student noise, disturbance, and
-perception noise all draw from ``seed_from_name`` streams.
+from the fleet.  Everything is a pure function of the spec params and
+the seed: per-vehicle dynamics, student noise, disturbance, and
+perception noise all draw from ``seed_from_name`` streams.  After the
+run, :func:`run_drive` checks that every car recorded every tick, with
+finite poses and cross-track errors.
 """
 
 from __future__ import annotations
@@ -70,8 +73,10 @@ class GreedyTracker:
         max_coast: int = 3,
         seed: int | np.random.Generator | None = None,
     ) -> None:
-        if noise_m < 0 or gate_m <= 0:
-            raise ConfigurationError("noise_m must be >= 0 and gate_m > 0")
+        if not (math.isfinite(noise_m) and noise_m >= 0):
+            raise ConfigurationError(f"noise_m must be finite and >= 0, got {noise_m}")
+        if not (math.isfinite(gate_m) and gate_m > 0):
+            raise ConfigurationError(f"gate_m must be finite and > 0, got {gate_m}")
         if not 0.0 <= dropout < 1.0:
             raise ConfigurationError(f"dropout must be in [0, 1), got {dropout}")
         if max_coast < 0:
@@ -150,6 +155,28 @@ class DriveArtifacts:
     tracks_spawned: int = 0
 
 
+def _number(
+    params: dict, key: str, where: str, whole: bool = False, positive: bool = False
+) -> int | float:
+    """``params[key]``, refused unless a finite number ``>= 0`` (``> 0``).
+
+    ``whole`` also refuses a fraction, which ``int`` would truncate.
+    """
+    value = params[key]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (
+        number
+        and math.isfinite(value)
+        and (value > 0 if positive else value >= 0)
+        and (not whole or value == int(value))
+    ):
+        raise ConfigurationError(
+            f"{where}.{key} must be a {'whole' if whole else 'finite'} number "
+            f"{'> 0' if positive else '>= 0'}, got {value!r}"
+        )
+    return int(value) if whole else float(value)
+
+
 def run_drive(
     name: str,
     params: dict,
@@ -161,7 +188,7 @@ def run_drive(
     """Run one drive scenario; returns (summary text, artifacts)."""
     from repro.core.drivers import PurePursuitDriver, StudentDriver
     from repro.sim.server import make_track
-    from repro.sim.session import DrivingSession
+    from repro.sim.session import FleetSession
 
     where = f"drive spec {name!r} params"
     params = resolve_params(params, DRIVE_PARAMS, where)
@@ -170,39 +197,18 @@ def run_drive(
         track = make_track(track_name)
     except SimulationError as exc:
         raise ConfigurationError(f"{where}.track: {exc.args[0]}") from None
-    n_vehicles = int(params["n_vehicles"])
-    ticks = int(params["ticks"])
-    dt = float(params["dt"])
-    skill = float(params["skill"])
-    noise_amp = float(params["steering_noise"])
+    n_vehicles = _number(params, "n_vehicles", where, whole=True, positive=True)
+    ticks = _number(params, "ticks", where, whole=True, positive=True)
+    dt = _number(params, "dt", where, positive=True)
+    skill = _number(params, "skill", where)
+    noise_amp = _number(params, "steering_noise", where)
     perception = params["perception"]
-    if n_vehicles < 1 or ticks < 1:
-        raise ConfigurationError("need >= 1 vehicle and >= 1 tick")
-
-    sessions = []
-    drivers = []
-    for index in range(n_vehicles):
-        session = DrivingSession(
-            track,
-            dt=dt,
-            render=False,
-            seed=seed_from_name(f"drive-veh-{index:04d}", seed),
-        )
-        last = session.reset(s=track.length * index / n_vehicles)
-        expert = PurePursuitDriver(session)
-        driver = StudentDriver(
-            expert,
-            skill=skill,
-            rng=seed_from_name(f"drive-skill-{index:04d}", seed),
-        )
-        sessions.append([session, last])
-        drivers.append(driver)
-    disturbance = ensure_rng(seed_from_name("drive-disturbance", seed))
+    in_perception = f"{where}.perception"
     tracker = GreedyTracker(
-        noise_m=float(perception["noise_m"]),
-        dropout=float(perception["dropout"]),
-        gate_m=float(perception["gate_m"]),
-        max_coast=int(perception["max_coast"]),
+        noise_m=_number(perception, "noise_m", in_perception),
+        dropout=_number(perception, "dropout", in_perception),
+        gate_m=_number(perception, "gate_m", in_perception, positive=True),
+        max_coast=_number(perception, "max_coast", in_perception, whole=True),
         seed=seed_from_name("drive-perception", seed),
     )
     artifacts = DriveArtifacts(
@@ -210,24 +216,36 @@ def run_drive(
         n_vehicles=n_vehicles,
         ticks=ticks,
         dt=dt,
-        match_radius_m=float(perception["match_radius_m"]),
+        match_radius_m=_number(perception, "match_radius_m", in_perception),
     )
 
+    fleet = FleetSession(
+        track, track.length * np.arange(n_vehicles) / n_vehicles, dt=dt
+    )
+    expert = PurePursuitDriver(fleet)
+    students = StudentDriver(
+        expert,
+        skill=skill,
+        rng=[
+            seed_from_name(f"drive-skill-{index:04d}", seed)
+            for index in range(n_vehicles)
+        ],
+    )
+    disturbance = ensure_rng(seed_from_name("drive-disturbance", seed))
+    vehicle_ids = [f"veh-{index:04d}" for index in range(n_vehicles)]
     drive_ticks = SeriesHandle(metrics.counter, "drive.ticks")
 
     def tick() -> None:
-        frame_gt: dict[str, tuple[float, float]] = {}
-        for index, (slot, driver) in enumerate(zip(sessions, drivers)):
-            session, obs = slot
-            steering, throttle = driver(obs.image, obs.cte, obs.speed)
-            if noise_amp:
-                steering = float(
-                    np.clip(steering + noise_amp * disturbance.normal(), -1.0, 1.0)
-                )
-            obs = session.step(steering, throttle)
-            slot[1] = obs
-            frame_gt[f"veh-{index:04d}"] = (session.state.x, session.state.y)
-            artifacts.cte_values.append(obs.cte)
+        steering, throttle = students.commands(*expert.commands(fleet.cars.speed))
+        if noise_amp:
+            # One draw per car, in car order, from the shared stream.
+            kicks = disturbance.normal(size=n_vehicles)
+            steering = np.clip(steering + noise_amp * kicks, -1.0, 1.0)
+        query = fleet.step(steering, throttle)
+        frame_gt = dict(
+            zip(vehicle_ids, zip(fleet.cars.x.tolist(), fleet.cars.y.tolist()))
+        )
+        artifacts.cte_values.extend(query.signed_cte.tolist())
         artifacts.gt_frames.append(frame_gt)
         artifacts.tracked_frames.append(tracker.observe(frame_gt))
         drive_ticks.inc()
@@ -240,9 +258,10 @@ def run_drive(
         scheduler.schedule_in(dt, tick, label="eval.drive")
         scheduler.run_all()
 
-    artifacts.lap_stats = [slot[0].stats for slot in sessions]
+    artifacts.lap_stats = fleet.lap_stats()
     artifacts.detections = tracker.detections
     artifacts.tracks_spawned = tracker.spawned
+    _check_drive(artifacts)
     laps = sum(stats.laps_completed for stats in artifacts.lap_stats)
     lap_times = [
         time for stats in artifacts.lap_stats for time in stats.lap_times
@@ -268,3 +287,36 @@ def run_drive(
         f"tracks={tracker.spawned}",
     ]
     return "\n".join(lines) + "\n", artifacts
+
+
+def _check_drive(artifacts: DriveArtifacts) -> None:
+    """Every car recorded every tick, with a finite pose and cte.
+
+    Raises :class:`SimulationError` naming the first broken invariant.
+    """
+    ticks, n_vehicles = artifacts.ticks, artifacts.n_vehicles
+    frames = (len(artifacts.gt_frames), len(artifacts.tracked_frames))
+    if frames != (ticks, ticks):
+        raise SimulationError(
+            f"drive recorded {frames[0]} truth and {frames[1]} tracker "
+            f"frames over {ticks} ticks"
+        )
+    for index, stats in enumerate(artifacts.lap_stats):
+        if stats.steps != ticks or stats.laps_completed != len(stats.lap_times):
+            raise SimulationError(
+                f"drive car {index}: {stats.steps} steps over {ticks} ticks, "
+                f"{stats.laps_completed} laps with {len(stats.lap_times)} lap times"
+            )
+    if len(artifacts.cte_values) != n_vehicles * ticks:
+        raise SimulationError(
+            f"drive recorded {len(artifacts.cte_values)} cte values for "
+            f"{n_vehicles} cars over {ticks} ticks"
+        )
+    poses = [pose for frame in artifacts.gt_frames for pose in frame.values()]
+    if len(poses) != n_vehicles * ticks:
+        raise SimulationError(
+            f"drive recorded {len(poses)} poses for {n_vehicles} cars over "
+            f"{ticks} ticks"
+        )
+    if not (np.isfinite(poses).all() and np.isfinite(artifacts.cte_values).all()):
+        raise SimulationError("drive recorded a non-finite pose or cte")

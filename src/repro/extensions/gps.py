@@ -105,8 +105,6 @@ class PathFollower:
         self.receiver = receiver or GPSReceiver()
         self.lookahead = float(lookahead)
         self.target_speed = float(speed)
-        self._max_angle = session.model.params.max_steering_angle
-        self._wheelbase = session.model.params.wheelbase
         self._nearest = 0
 
     def cross_track_error(self) -> float:
@@ -134,10 +132,10 @@ class PathFollower:
             if target_idx == self._nearest:
                 break
         target = pts[target_idx]
-        alpha = np.arctan2(target[1] - gy, target[0] - gx) - state.heading
-        alpha = np.arctan2(np.sin(alpha), np.cos(alpha))
-        dist = max(float(np.hypot(target[0] - gx, target[1] - gy)), 1e-6)
-        wheel = np.arctan2(2.0 * self._wheelbase * np.sin(alpha), dist)
-        steering = float(np.clip(wheel / self._max_angle, -1.0, 1.0))
+        steering = float(
+            self.session.model.pursuit_steering(
+                target[0] - gx, target[1] - gy, state.heading
+            )
+        )
         throttle = float(np.clip(0.6 * (self.target_speed - speed) + 0.25, 0.0, 1.0))
         return steering, throttle

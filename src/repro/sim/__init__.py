@@ -5,7 +5,13 @@ car/track plant (see DESIGN.md §2 for the substitution argument).
 """
 
 from repro.sim.plot import save_svg, track_svg, trajectory_svg
-from repro.sim.dynamics import PIRACER_PARAMS, BicycleModel, CarParams, CarState
+from repro.sim.dynamics import (
+    PIRACER_PARAMS,
+    BicycleModel,
+    CarArrays,
+    CarParams,
+    CarState,
+)
 from repro.sim.renderer import (
     PALETTES,
     CameraParams,
@@ -14,7 +20,7 @@ from repro.sim.renderer import (
     TrackField,
 )
 from repro.sim.server import AVAILABLE_TRACKS, SimulatorServer, make_track
-from repro.sim.session import DrivingSession, LapStats, Observation
+from repro.sim.session import DrivingSession, FleetSession, LapStats, Observation
 from repro.sim.tracks import (
     PAPER_OVAL_INNER_IN,
     PAPER_OVAL_OUTER_IN,
@@ -31,6 +37,7 @@ __all__ = [
     "trajectory_svg",
     "save_svg",
     "BicycleModel",
+    "CarArrays",
     "CarParams",
     "CarState",
     "PIRACER_PARAMS",
@@ -43,6 +50,7 @@ __all__ = [
     "AVAILABLE_TRACKS",
     "make_track",
     "DrivingSession",
+    "FleetSession",
     "LapStats",
     "Observation",
     "Track",

@@ -12,13 +12,15 @@ similar model).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro.common.errors import SimulationError
 
-__all__ = ["CarParams", "CarState", "BicycleModel", "PIRACER_PARAMS"]
+__all__ = ["CarParams", "CarState", "CarArrays", "BicycleModel", "PIRACER_PARAMS"]
 
 
 @dataclass(frozen=True)
@@ -96,6 +98,39 @@ class CarState:
         return replace(self, x=x, y=y, heading=heading)
 
 
+class CarArrays(NamedTuple):
+    """The :class:`CarState` fields of ``N`` cars, as ``(N,)`` float arrays.
+
+    Element ``i`` of every array belongs to car ``i``.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    heading: np.ndarray
+    speed: np.ndarray
+    steering_angle: np.ndarray
+    accel_cmd: np.ndarray
+
+    @classmethod
+    def of(cls, states: Sequence[CarState]) -> "CarArrays":
+        """One element per state, in order."""
+        return cls(
+            *(
+                np.array([getattr(state, name) for state in states], dtype=np.float64)
+                for name in cls._fields
+            )
+        )
+
+    def car(self, index: int) -> CarState:
+        """Car ``index`` as a :class:`CarState` of Python floats."""
+        return CarState(*(float(column[index]) for column in self))
+
+    def place(self, index: int, state: CarState) -> None:
+        """Overwrite car ``index`` with ``state``, in place."""
+        for name, column in zip(self._fields, self):
+            column[index] = getattr(state, name)
+
+
 class BicycleModel:
     """Discrete-time kinematic bicycle with actuator lag.
 
@@ -117,6 +152,57 @@ class BicycleModel:
     def __init__(self, params: CarParams = PIRACER_PARAMS) -> None:
         self.params = params
 
+    def advance(
+        self,
+        cars: CarArrays,
+        steering: np.ndarray,
+        throttle: np.ndarray,
+        dt: float,
+    ) -> CarArrays:
+        """Advance every car one control interval, in one array pass.
+
+        ``steering``/``throttle`` hold one normalised command per car,
+        clipped to ``[-1, 1]``; ``dt`` must be positive and finite.
+        Every element goes through the same IEEE operations in the same
+        order, so a car's result does not depend on the other cars.
+        """
+        if not (math.isfinite(dt) and dt > 0):
+            raise SimulationError(f"dt must be positive and finite, got {dt}")
+        p = self.params
+        steering = np.clip(steering, -1.0, 1.0)
+        throttle = np.clip(throttle, -1.0, 1.0)
+
+        # 1. Steering servo lag.
+        target_angle = steering * p.max_steering_angle
+        alpha_s = 1.0 - np.exp(-dt / p.steering_tau)
+        steering_angle = cars.steering_angle + alpha_s * (
+            target_angle - cars.steering_angle
+        )
+
+        # 2. Longitudinal dynamics with ESC lag and linear drag; negative
+        #    throttle brakes.
+        target_accel = np.where(
+            throttle >= 0,
+            p.max_accel * throttle - p.max_accel * (cars.speed / p.max_speed),
+            p.brake_decel * throttle,
+        )
+        alpha_t = 1.0 - np.exp(-dt / p.throttle_tau)
+        accel = cars.accel_cmd + alpha_t * (target_accel - cars.accel_cmd)
+        speed = cars.speed + accel * dt
+        # Python's max(0.0, speed): 0.0 unless positive, NaN included.
+        speed = np.where(speed > 0.0, speed, 0.0)
+
+        # 3. Bicycle kinematics (midpoint speed for better energy
+        #    behaviour at 20 Hz).
+        mid_speed = 0.5 * (cars.speed + speed)
+        heading = cars.heading + (mid_speed / p.wheelbase) * np.tan(
+            steering_angle
+        ) * dt
+        heading = np.arctan2(np.sin(heading), np.cos(heading))
+        x = cars.x + mid_speed * np.cos(heading) * dt
+        y = cars.y + mid_speed * np.sin(heading) * dt
+        return CarArrays(x, y, heading, speed, steering_angle, accel)
+
     def step(
         self,
         state: CarState,
@@ -124,53 +210,31 @@ class BicycleModel:
         throttle: float,
         dt: float,
     ) -> CarState:
-        """Advance the car one control interval.
+        """Advance one car one control interval: :meth:`advance` for one."""
+        cars = self.advance(
+            CarArrays.of([state]),
+            np.array([steering], dtype=np.float64),
+            np.array([throttle], dtype=np.float64),
+            dt,
+        )
+        return cars.car(0)
 
-        ``steering``/``throttle`` are normalised commands clipped to
-        ``[-1, 1]``; ``dt`` must be positive.
+    def pursuit_steering(
+        self, dx: np.ndarray, dy: np.ndarray, heading: np.ndarray
+    ) -> np.ndarray:
+        """Steering commands whose arcs run through target points.
+
+        The pure-pursuit law: ``(dx, dy)`` runs from each car to its
+        target and ``heading`` is the car's.  The command is clipped to
+        ``[-1, 1]``, element by element like :meth:`advance`.
         """
-        if dt <= 0:
-            raise SimulationError(f"dt must be positive, got {dt}")
         p = self.params
-        steering = float(np.clip(steering, -1.0, 1.0))
-        throttle = float(np.clip(throttle, -1.0, 1.0))
-
-        # 1. Steering servo lag.
-        target_angle = steering * p.max_steering_angle
-        alpha_s = 1.0 - np.exp(-dt / p.steering_tau)
-        steering_angle = state.steering_angle + alpha_s * (
-            target_angle - state.steering_angle
-        )
-
-        # 2. Longitudinal dynamics with ESC lag and linear drag.
-        if throttle >= 0:
-            target_accel = p.max_accel * throttle - p.max_accel * (
-                state.speed / p.max_speed
-            )
-        else:
-            target_accel = p.brake_decel * throttle  # throttle < 0: brake
-        alpha_t = 1.0 - np.exp(-dt / p.throttle_tau)
-        accel = state.accel_cmd + alpha_t * (target_accel - state.accel_cmd)
-        speed = max(0.0, state.speed + accel * dt)
-
-        # 3. Bicycle kinematics (midpoint speed for better energy
-        #    behaviour at 20 Hz).
-        mid_speed = 0.5 * (state.speed + speed)
-        heading = state.heading + (mid_speed / p.wheelbase) * np.tan(
-            steering_angle
-        ) * dt
-        heading = float(np.arctan2(np.sin(heading), np.cos(heading)))
-        x = state.x + mid_speed * np.cos(heading) * dt
-        y = state.y + mid_speed * np.sin(heading) * dt
-
-        return CarState(
-            x=float(x),
-            y=float(y),
-            heading=heading,
-            speed=float(speed),
-            steering_angle=float(steering_angle),
-            accel_cmd=float(accel),
-        )
+        # Angle to target in the car frame.
+        alpha = np.arctan2(dy, dx) - heading
+        alpha = np.arctan2(np.sin(alpha), np.cos(alpha))
+        distance = np.maximum(np.hypot(dx, dy), 1e-6)
+        wheel_angle = np.arctan2(2.0 * p.wheelbase * np.sin(alpha), distance)
+        return np.clip(wheel_angle / p.max_steering_angle, -1.0, 1.0)
 
     def stopping_distance(self, speed: float) -> float:
         """Distance to stop from ``speed`` at full brake (analytic)."""

@@ -153,9 +153,7 @@ def segment_table(polyline: np.ndarray) -> SegmentTable:
 
 
 def project_points(
-    query: np.ndarray,
-    polyline: np.ndarray | SegmentTable,
-    segment_mask: np.ndarray | None = None,
+    query: np.ndarray, polyline: np.ndarray | SegmentTable
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Project query points onto a closed polyline.
 
@@ -166,9 +164,6 @@ def project_points(
     polyline:
         ``(S, 2)`` closed polyline vertices, or their
         :class:`SegmentTable` (a raw polyline is converted to one first).
-    segment_mask:
-        Optional boolean ``(S,)`` mask restricting which segments are
-        considered.  At least one segment must be enabled.
 
     Returns
     -------
@@ -185,38 +180,29 @@ def project_points(
     """
     pts = np.atleast_2d(np.asarray(query, dtype=np.float64))
     table = polyline if isinstance(polyline, SegmentTable) else segment_table(polyline)
-    starts, seg_vec, seg_len2 = table.starts, table.vectors, table.length2
-    if segment_mask is not None:
-        mask = np.asarray(segment_mask, dtype=bool)
-        if mask.shape != (len(table),):
-            raise ValueError(f"segment_mask shape {mask.shape} != ({len(table)},)")
-        if not mask.any():
-            raise ValueError("segment_mask disables every segment")
-        idx_map = np.flatnonzero(mask)
-        starts = starts[idx_map]                             # (S', 2)
-        seg_vec = seg_vec[idx_map]
-        seg_len2 = seg_len2[idx_map]
+    # Every (P, S) array below is one axis of a (P, S, 2) pair array:
+    # numpy's per-call overhead is paid per row, not per pair.
+    px, py = pts[:, :1], pts[:, 1:]                          # (P, 1)
+    sx, sy = table.starts.T                                  # (S,)
+    vx, vy = table.vectors.T
 
-    # (P, S', 2) displacement from each segment start to each point.
-    disp = pts[:, None, :] - starts[None, :, :]
-    t = np.einsum("psi,si->ps", disp, seg_vec) / seg_len2    # (P, S')
+    # Position of each point along each segment.  The dot product
+    # starts from +0.0, as a reduction does, so a zero is never -0.0.
+    t = (0.0 + (px - sx) * vx + (py - sy) * vy) / table.length2
     np.clip(t, 0.0, 1.0, out=t)
-    closest = starts[None, :, :] + t[..., None] * seg_vec[None, :, :]
-    delta = pts[:, None, :] - closest
-    dist2 = np.einsum("psi,psi->ps", delta, delta)           # (P, S')
+    # Displacement from each segment's closest point to each point.
+    ex = px - (sx + t * vx)
+    ey = py - (sy + t * vy)
+    dist2 = ex * ex + ey * ey                                # (P, S)
 
     best = np.argmin(dist2, axis=1)                          # (P,)
     rows = np.arange(len(pts))
     distances = np.sqrt(dist2[rows, best])
-
-    seg_idx = best if segment_mask is None else idx_map[best]
-    arclengths = table.s_vertices[seg_idx] + t[rows, best] * table.lengths[seg_idx]
+    arclengths = table.s_vertices[best] + t[rows, best] * table.lengths[best]
 
     # Cross product of segment direction with point displacement gives
     # the side: positive = left of travel.
-    d = delta[rows, best]
-    v = seg_vec[best]
-    cross = v[:, 0] * d[:, 1] - v[:, 1] * d[:, 0]
+    cross = vx[best] * ey[rows, best] - vy[best] * ex[rows, best]
     signs = np.sign(cross)
     return distances, arclengths, signs
 

@@ -7,10 +7,16 @@ telemetry).  It tracks lap progress, lap times, cross-track error, and
 off-track excursions (crashes) — the quantities the paper's model
 evaluation stage measures ("drive them around the track measuring
 qualities of interest (speed, number of errors, etc.)", §3.3).
+
+The loop itself is written once, over arrays: a :class:`FleetSession`
+steps ``N`` cars together, with one bicycle-model pass and one track
+projection per step, and a :class:`DrivingSession` is its one-car case
+plus the camera.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -19,11 +25,17 @@ import numpy as np
 from repro.common.errors import OffTrackError, SimulationError
 from repro.common.rng import ensure_rng
 from repro.common.units import DONKEYCAR_LOOP_HZ
-from repro.sim.dynamics import BicycleModel, CarParams, CarState, PIRACER_PARAMS
+from repro.sim.dynamics import (
+    BicycleModel,
+    CarArrays,
+    CarParams,
+    CarState,
+    PIRACER_PARAMS,
+)
 from repro.sim.renderer import RENDERER_MODES, CameraParams, CameraRenderer
 from repro.sim.tracks import Track, TrackQuery
 
-__all__ = ["Observation", "LapStats", "DrivingSession"]
+__all__ = ["Observation", "LapStats", "FleetSession", "DrivingSession"]
 
 
 @dataclass(frozen=True)
@@ -73,8 +85,179 @@ class LapStats:
         return float(np.std(self.lap_times)) if len(self.lap_times) > 1 else 0.0
 
 
+class FleetSession:
+    """Closed-loop simulation of ``N`` cars on one track, in lockstep.
+
+    Car ``i``'s state, statistics and lap detection are element ``i``
+    of ``(N,)`` arrays; one :meth:`step` advances every car with one
+    :meth:`BicycleModel.advance` pass and one :meth:`Track.query`.  The
+    cars do not interact: each element goes through the operations one
+    car alone would, so car ``i`` of a fleet and a one-car session
+    driven the same way agree bit for bit.
+
+    Parameters
+    ----------
+    track:
+        The circuit to drive.
+    starts:
+        Arclength of each car's start on the centreline; ``N`` is its
+        length.
+    car_params:
+        Plant parameters (defaults to the PiRacer kit).
+    dt:
+        Control interval; defaults to DonkeyCar's 20 Hz loop.
+    strict:
+        If True, leaving the lane raises :class:`OffTrackError`.  If
+        False (default), excursions are counted and the car is
+        respawned on the centreline at its current progress, which is
+        what students do on the real track ("pick the car up and put it
+        back").
+    """
+
+    def __init__(
+        self,
+        track: Track,
+        starts: np.ndarray,
+        car_params: CarParams = PIRACER_PARAMS,
+        dt: float = 1.0 / DONKEYCAR_LOOP_HZ,
+        strict: bool = False,
+    ) -> None:
+        if not (math.isfinite(dt) and dt > 0):
+            raise SimulationError(f"dt must be positive and finite, got {dt}")
+        self.track = track
+        self.model = BicycleModel(car_params)
+        self.dt = float(dt)
+        self.strict = strict
+        self.reset(starts)
+
+    def reset(self, starts: np.ndarray, lateral_offset: float = 0.0) -> None:
+        """Put car ``i`` at arclength ``starts[i]``, stopped; zero the stats."""
+        starts = np.asarray(starts, dtype=np.float64)
+        if starts.ndim != 1 or not len(starts):
+            raise SimulationError(
+                f"starts must be a non-empty 1-D array, got {starts!r}"
+            )
+        x, y, heading = self.track.pose_at(starts, lateral_offset)
+        n = len(starts)
+        self.cars = CarArrays(x, y, heading, np.zeros(n), np.zeros(n), np.zeros(n))
+        self.time = 0.0
+        self.steps = 0
+        self.lap_times: list[list[float]] = [[] for _ in range(n)]
+        self.crashes = np.zeros(n, dtype=np.int64)
+        self.distance = np.zeros(n)
+        self.abs_cte_sum = np.zeros(n)
+        self.speed_sum = np.zeros(n)
+        #: Total unwrapped arclength each car progressed since reset (m).
+        self.progress = np.zeros(n)
+        self._prev_s = starts % self.track.length
+        self._lap_start = np.zeros(n)
+        self._respawn = np.zeros(n, dtype=bool)
+        self._query: TrackQuery | None = None
+        self.pose_query()
+
+    # ------------------------------------------------------------ step
+
+    def step(self, steering: np.ndarray, throttle: np.ndarray) -> TrackQuery:
+        """Apply one command per car and advance every car ``dt`` seconds.
+
+        Returns the projection of the new poses, which :meth:`pose_query`
+        then serves.
+        """
+        prev = self.cars
+        if self._respawn.any():
+            # The previous step ended off-track: the student picks the
+            # car up and puts it back on the centreline, stopped.
+            index = np.flatnonzero(self._respawn)
+            x, y, heading = self.track.pose_at(self._prev_s[index])
+            for column, value in zip(prev, (x, y, heading, 0.0, 0.0, 0.0)):
+                column[index] = value
+        cars = self.cars = self.model.advance(prev, steering, throttle, self.dt)
+        self.time += self.dt
+        self.steps += 1
+        self.speed_sum += cars.speed
+        self.distance += np.hypot(cars.x - prev.x, cars.y - prev.y)
+
+        # One projection for every new pose.
+        self._query = None
+        query = self.pose_query()
+        cte = query.signed_cte
+        self.abs_cte_sum += np.abs(cte)
+
+        # Lap detection: progress wrapped past s = 0.
+        length = self.track.length
+        ds = query.arclength - self._prev_s
+        forward = ds < -length / 2.0  # wrapped forward through start
+        for index in np.flatnonzero(forward).tolist():
+            self.lap_times[index].append(self.time - float(self._lap_start[index]))
+            self._lap_start[index] = self.time
+        ds = np.where(
+            forward,
+            ds + length,
+            np.where(ds > length / 2.0, ds - length, ds),  # wrapped backward
+        )
+        self.progress += ds
+        self._prev_s = query.arclength
+
+        off_track = ~query.on_track
+        self.crashes += off_track
+        if self.strict and off_track.any():
+            index = int(np.argmax(off_track))
+            raise OffTrackError(
+                f"car {index} left the track at s={query.arclength[index]:.2f} m "
+                f"(cte={cte[index]:+.3f} m) after {self.steps} steps"
+            )
+        # The crash pose itself is observed (and recorded — it is
+        # exactly the bad data tubclean exists to remove); the respawn
+        # happens at the start of the next step.
+        self._respawn = off_track
+        return query
+
+    # --------------------------------------------------------- observe
+
+    def pose_query(self) -> TrackQuery:
+        """The track projection of every car's pose, computed once per pose.
+
+        The step or reset that makes the poses projects them;
+        :meth:`place` drops the projection, so it is never stale.
+        """
+        if self._query is None:
+            points = np.empty((len(self.cars.x), 2))
+            points[:, 0], points[:, 1] = self.cars.x, self.cars.y
+            self._query = self.track.query(points)
+        return self._query
+
+    def place(self, index: int, state: CarState) -> None:
+        """Move car ``index`` to ``state`` (lap progress is kept)."""
+        self.cars.place(index, state)
+        self._query = None
+
+    def lap_stats(self) -> list[LapStats]:
+        """Each car's statistics since the last reset, in car order."""
+        return [
+            LapStats(
+                laps_completed=len(times),
+                lap_times=list(times),
+                crashes=crashes,
+                steps=self.steps,
+                distance=distance,
+                abs_cte_sum=abs_cte_sum,
+                speed_sum=speed_sum,
+            )
+            for times, crashes, distance, abs_cte_sum, speed_sum in zip(
+                self.lap_times,
+                self.crashes.tolist(),
+                self.distance.tolist(),
+                self.abs_cte_sum.tolist(),
+                self.speed_sum.tolist(),
+            )
+        ]
+
+
 class DrivingSession:
     """Closed-loop simulation of one car on one track.
+
+    The one-car case of :class:`FleetSession`, which it drives (as
+    :attr:`fleet`), plus the camera.
 
     Parameters
     ----------
@@ -90,9 +273,7 @@ class DrivingSession:
         If True, leaving the lane raises :class:`OffTrackError`
         (used by tests that must not silently tolerate crashes).
         If False (default), excursions are counted and the car is
-        respawned on the centreline at its current progress, which is
-        what students do on the real track ("pick the car up and put it
-        back").
+        respawned on the centreline at its current progress.
     seed:
         Seeds the camera sensor noise stream.
     render:
@@ -111,14 +292,12 @@ class DrivingSession:
         render: bool = True,
         renderer_mode: str = "perspective",
     ) -> None:
-        if dt <= 0:
-            raise SimulationError(f"dt must be positive, got {dt}")
         if renderer_mode not in RENDERER_MODES:
             raise SimulationError(f"unknown renderer mode: {renderer_mode!r}")
+        self.fleet = FleetSession(track, [0.0], car_params, dt=dt, strict=strict)
         self.track = track
-        self.model = BicycleModel(car_params)
-        self.dt = float(dt)
-        self.strict = strict
+        self.model = self.fleet.model
+        self.dt = self.fleet.dt
         self.render_enabled = render
         self._camera = camera or CameraParams()
         self._renderer_mode = renderer_mode
@@ -126,9 +305,9 @@ class DrivingSession:
         self._blank = np.zeros(
             (self._camera.height, self._camera.width, 3), dtype=np.uint8
         )
-        self._queried_state: CarState | None = None
-        self._query: TrackQuery | None = None
-        self.reset()
+        # The first frame, as reset() returns it: a rendering session
+        # draws its first camera noise here.
+        self._observe()
 
     @cached_property
     def renderer(self) -> CameraRenderer:
@@ -138,66 +317,58 @@ class DrivingSession:
         """
         return CameraRenderer(self.track, self._camera, mode=self._renderer_mode)
 
+    # ------------------------------------------------------------ state
+
+    @property
+    def state(self) -> CarState:
+        """The car's kinematic state; assigning one moves the car."""
+        return self.fleet.cars.car(0)
+
+    @state.setter
+    def state(self, state: CarState) -> None:
+        self.fleet.place(0, state)
+
+    @property
+    def cars(self) -> CarArrays:
+        """The car's state as one-element arrays (what drivers read)."""
+        return self.fleet.cars
+
+    @property
+    def stats(self) -> LapStats:
+        """Driving statistics since the last reset."""
+        return self.fleet.lap_stats()[0]
+
+    @property
+    def time(self) -> float:
+        """Session time since the last reset (s)."""
+        return self.fleet.time
+
+    @property
+    def progress(self) -> float:
+        """Total unwrapped arclength progressed since reset (m)."""
+        return float(self.fleet.progress[0])
+
     # ------------------------------------------------------- lifecycle
 
     def reset(self, s: float = 0.0, lateral_offset: float = 0.0) -> Observation:
         """Place the car at arclength ``s`` and return the first frame."""
-        x, y, heading = self.track.pose_at(s, lateral_offset)
-        self.state = CarState(x=x, y=y, heading=heading)
-        self.time = 0.0
-        self.stats = LapStats()
-        self._prev_s = s % self.track.length
-        self._lap_start_time = 0.0
-        self._unwrapped_s = 0.0
-        self._respawn_pending = False
+        self.fleet.reset(np.array([s], dtype=np.float64), lateral_offset)
         return self._observe()
 
     # ------------------------------------------------------------ step
 
     def step(self, steering: float, throttle: float) -> Observation:
-        """Apply one control command and advance ``dt`` seconds."""
-        if self._respawn_pending:
-            # The previous step ended off-track: the student picks the
-            # car up and puts it back on the centreline, stopped.
-            x, y, heading = self.track.pose_at(self._prev_s)
-            self.state = CarState(x=x, y=y, heading=heading)
-            self._respawn_pending = False
-        prev_state = self.state
-        self.state = self.model.step(prev_state, steering, throttle, self.dt)
-        self.time += self.dt
-        self.stats.steps += 1
-        self.stats.speed_sum += self.state.speed
-        self.stats.distance += float(
-            np.hypot(self.state.x - prev_state.x, self.state.y - prev_state.y)
+        """Apply one control command and advance ``dt`` seconds.
+
+        The observation's ``lap`` is the count from before this step, so
+        the step that completes a lap reports it one step late.
+        """
+        laps = len(self.fleet.lap_times[0])
+        self.fleet.step(
+            np.array([steering], dtype=np.float64),
+            np.array([throttle], dtype=np.float64),
         )
-
-        obs = self._observe()
-        self.stats.abs_cte_sum += abs(obs.cte)
-
-        # Lap detection: progress wrapped past s = 0.
-        ds = obs.arclength - self._prev_s
-        if ds < -self.track.length / 2.0:  # wrapped forward through start
-            self.stats.laps_completed += 1
-            self.stats.lap_times.append(self.time - self._lap_start_time)
-            self._lap_start_time = self.time
-            ds += self.track.length
-        elif ds > self.track.length / 2.0:  # wrapped backward (rare)
-            ds -= self.track.length
-        self._unwrapped_s += ds
-        self._prev_s = obs.arclength
-
-        if obs.off_track:
-            self.stats.crashes += 1
-            if self.strict:
-                raise OffTrackError(
-                    f"car left the track at s={obs.arclength:.2f} m "
-                    f"(cte={obs.cte:+.3f} m) after {self.stats.steps} steps"
-                )
-            # The crash frame itself is observed (and recorded — it is
-            # exactly the bad data tubclean exists to remove); the
-            # respawn happens at the start of the next step.
-            self._respawn_pending = True
-        return obs
+        return self._observe(laps)
 
     def run(self, pilot, steps: int) -> LapStats:
         """Drive ``steps`` control intervals under ``pilot``.
@@ -217,38 +388,27 @@ class DrivingSession:
     def pose_query(self) -> TrackQuery:
         """The track projection of the current pose, computed once per pose.
 
-        Keyed on the identity of the frozen :attr:`state`: every step
-        and respawn makes a new :class:`CarState`, and so does any
-        caller that moves the car, so a memoised query is never stale.
+        The step or reset that moved the car projected it; assigning
+        :attr:`state` drops the projection, so it is never stale.
         """
-        state = self.state
-        if state is not self._queried_state:
-            self._query = self.track.query(np.array([[state.x, state.y]]))
-            self._queried_state = state
-        return self._query
+        return self.fleet.pose_query()
 
-    def _observe(self) -> Observation:
+    def _observe(self, laps: int | None = None) -> Observation:
         query = self.pose_query()
-        cte = float(query.signed_cte[0])
-        arclength = float(query.arclength[0])
+        state = self.state
         if self.render_enabled:
             image = self.renderer.render(
-                self.state.x, self.state.y, self.state.heading, rng=self._rng
+                state.x, state.y, state.heading, rng=self._rng
             )
         else:
             image = self._blank
         return Observation(
             image=image,
-            state=self.state,
-            time=self.time,
-            cte=cte,
-            arclength=arclength,
-            lap=self.stats.laps_completed,
+            state=state,
+            time=self.fleet.time,
+            cte=float(query.signed_cte[0]),
+            arclength=float(query.arclength[0]),
+            lap=len(self.fleet.lap_times[0]) if laps is None else laps,
             off_track=not bool(query.on_track[0]),
-            speed=self.state.speed,
+            speed=state.speed,
         )
-
-    @property
-    def progress(self) -> float:
-        """Total unwrapped arclength progressed since reset (m)."""
-        return self._unwrapped_s

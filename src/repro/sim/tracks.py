@@ -30,7 +30,6 @@ from repro.common.errors import TrackError
 from repro.common.units import inches_to_m, m_to_inches
 from repro.sim.geometry import (
     offset_closed,
-    point_in_closed_polyline,
     polyline_length,
     project_points,
     read_only,
@@ -180,9 +179,10 @@ class Track:
     def _interp(self, s: np.ndarray) -> np.ndarray:
         """The lookup behind :meth:`point_at`, for float64 arclengths."""
         s = s % self.length
-        x = np.interp(s, self._s_ring, self._x_ring)
-        y = np.interp(s, self._s_ring, self._y_ring)
-        return np.stack([x, y], axis=-1)
+        points = np.empty(s.shape + (2,))
+        points[..., 0] = np.interp(s, self._s_ring, self._x_ring)
+        points[..., 1] = np.interp(s, self._s_ring, self._y_ring)
+        return points
 
     def _headings(self, s: np.ndarray) -> np.ndarray:
         """Headings at a 1-D array of arclengths, from one interp pair.
@@ -227,28 +227,34 @@ class Track:
         """(x, y, heading) at the start line (s = 0)."""
         return self.pose_at(0.0, lateral_offset)
 
-    def pose_at(self, s: float, lateral_offset: float = 0.0) -> tuple[float, float, float]:
-        """(x, y, heading) at arclength ``s``, offset left by ``lateral_offset``."""
+    def pose_at(
+        self, s: float | np.ndarray, lateral_offset: float = 0.0
+    ) -> tuple:
+        """(x, y, heading) at arclength ``s``, offset left by ``lateral_offset``.
+
+        A float gives three floats and a 1-D array three arrays, one
+        element per arclength, from one :meth:`point_at` call.
+        """
         if abs(lateral_offset) > self.half_width:
             raise TrackError(
                 f"lateral offset {lateral_offset:.3f} exceeds half width "
                 f"{self.half_width:.3f}"
             )
-        point = self.point_at(s)
-        heading = self.heading_at(s)
-        normal = np.array([-np.sin(heading), np.cos(heading)])
+        samples = np.asarray(s, dtype=np.float64)
+        flat = samples.reshape(-1)
+        point = self.point_at(flat)
+        heading = self._headings(flat)
+        normal = np.stack([-np.sin(heading), np.cos(heading)], axis=-1)
         xy = point + lateral_offset * normal
-        return float(xy[0]), float(xy[1]), heading
+        if samples.ndim == 0:
+            return float(xy[0, 0]), float(xy[0, 1]), float(heading[0])
+        return xy[:, 0], xy[:, 1], heading
 
     # ----------------------------------------------------------- query
 
-    def query(
-        self, points: np.ndarray, segment_mask: np.ndarray | None = None
-    ) -> TrackQuery:
+    def query(self, points: np.ndarray) -> TrackQuery:
         """Project world points onto the centreline (vectorised)."""
-        distance, arclength, side = project_points(
-            points, self._segments, segment_mask=segment_mask
-        )
+        distance, arclength, side = project_points(points, self._segments)
         return TrackQuery(
             distance=distance,
             arclength=arclength,
@@ -259,24 +265,6 @@ class Track:
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask: which points lie on the drivable surface."""
         return self.query(points).on_track
-
-    def segments_near(self, xy: np.ndarray, radius: float) -> np.ndarray:
-        """Boolean mask of centreline segments within ``radius`` of ``xy``.
-
-        Pass it as :meth:`query`'s ``segment_mask`` to project onto the
-        nearby track only.  Falls back to all segments if nothing is
-        near.
-        """
-        xy = np.asarray(xy, dtype=np.float64)
-        mids = 0.5 * (self.centerline + np.roll(self.centerline, -1, axis=0))
-        near = np.linalg.norm(mids - xy, axis=1) <= radius
-        if not near.any():
-            return np.ones(len(self.centerline), dtype=bool)
-        return near
-
-    def enclosed_by_outer(self, points: np.ndarray) -> np.ndarray:
-        """Whether points fall inside the outer boundary (infield or lane)."""
-        return point_in_closed_polyline(points, self.outer_line)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -132,7 +132,9 @@ class TestGreedyTracker:
 
     @pytest.mark.parametrize(
         "kwargs", [dict(noise_m=-1.0), dict(dropout=1.0), dict(max_coast=-1),
-                   dict(gate_m=0.0)]
+                   dict(gate_m=0.0), dict(noise_m=float("nan")),
+                   dict(noise_m=float("inf")), dict(gate_m=float("nan")),
+                   dict(gate_m=float("inf"))]
     )
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import re
+
+import numpy as np
 import pytest
 
-from repro.common.errors import ConfigurationError
+from repro.common.errors import ConfigurationError, SimulationError
 from repro.eval.library import scenario_spec
 from repro.eval.runner import run_scenario
 from repro.faults.plan import FaultPlan
+from repro.sim.dynamics import BicycleModel
 from repro.sim.server import AVAILABLE_TRACKS
+from repro.sim.session import FleetSession
 
 #: (library spec, an override that misspells or drops a key)
 BAD_KEYS = {
@@ -56,6 +61,68 @@ def test_unknown_drive_track_names_the_param_and_the_tracks():
     assert "'nosuch'" in message
     for known in AVAILABLE_TRACKS:
         assert known in message
+
+
+#: One bad value per numeric drive param: NaN, infinite, negative, or a
+#: fraction where a count is due.
+BAD_DRIVE_VALUES = {
+    "n_vehicles": 2.5,
+    "ticks": 2.7,
+    "dt": float("inf"),
+    "skill": float("nan"),
+    "steering_noise": float("nan"),
+    "perception.noise_m": float("nan"),
+    "perception.dropout": -0.1,
+    "perception.gate_m": float("nan"),
+    "perception.max_coast": 1.5,
+    "perception.match_radius_m": float("nan"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(BAD_DRIVE_VALUES))
+def test_bad_drive_number_names_the_param(key):
+    spec = scenario_spec("drive-mot").with_overrides({key: BAD_DRIVE_VALUES[key]})
+    with pytest.raises(
+        ConfigurationError, match=rf"'drive-mot' params\.{re.escape(key)} must be"
+    ):
+        run_scenario(spec)
+
+
+def _nan_pose_on_tick_5(monkeypatch):
+    real = BicycleModel.advance
+    calls = []
+
+    def advance(self, cars, steering, throttle, dt):
+        moved = real(self, cars, steering, throttle, dt)
+        calls.append(1)
+        if len(calls) == 5:
+            moved.x[1] = np.nan
+        return moved
+
+    monkeypatch.setattr(BicycleModel, "advance", advance)
+
+
+def _skipped_tick_5(monkeypatch):
+    real = FleetSession.step
+    calls = []
+
+    def step(self, steering, throttle):
+        calls.append(1)
+        if len(calls) == 5:
+            return self.pose_query()
+        return real(self, steering, throttle)
+
+    monkeypatch.setattr(FleetSession, "step", step)
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_nan_pose_on_tick_5, _skipped_tick_5], ids=["nan-pose", "skipped-tick"]
+)
+def test_drive_post_conditions_catch_a_corrupted_tick(corrupt, monkeypatch):
+    corrupt(monkeypatch)
+    spec = scenario_spec("drive-mot").with_overrides({"n_vehicles": 3, "ticks": 10})
+    with pytest.raises(SimulationError, match="drive"):
+        run_scenario(spec)
 
 
 def test_nested_group_must_be_a_mapping():

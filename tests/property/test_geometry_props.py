@@ -55,35 +55,48 @@ class TestResample:
         assert seg.std() <= 0.2 * seg.mean()
 
 
-@st.composite
-def segment_masks(draw, n):
-    """A boolean ``(n,)`` mask with at least one segment enabled."""
-    mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-    mask[draw(st.integers(0, n - 1))] = True
-    return mask
-
-
 def assert_same_projection(a, b):
     for got, want in zip(a, b):
         assert np.array_equal(got, want)
 
 
+def pair_array_projection(pts, table):
+    """``project_points`` over ``(P, S, 2)`` pair arrays and ``einsum``."""
+    starts, seg_vec = table.starts, table.vectors
+    disp = pts[:, None, :] - starts[None, :, :]
+    t = np.einsum("psi,si->ps", disp, seg_vec) / table.length2
+    np.clip(t, 0.0, 1.0, out=t)
+    closest = starts[None, :, :] + t[..., None] * seg_vec[None, :, :]
+    delta = pts[:, None, :] - closest
+    dist2 = np.einsum("psi,psi->ps", delta, delta)
+    best = np.argmin(dist2, axis=1)
+    rows = np.arange(len(pts))
+    distances = np.sqrt(dist2[rows, best])
+    arclengths = table.s_vertices[best] + t[rows, best] * table.lengths[best]
+    d = delta[rows, best]
+    v = seg_vec[best]
+    signs = np.sign(v[:, 0] * d[:, 1] - v[:, 1] * d[:, 0])
+    return distances, arclengths, signs
+
+
 class TestProjection:
+    @given(loop=convex_loops(), pts=query_points(), on_vertices=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_per_axis_equals_pair_arrays_bit_for_bit(self, loop, pts, on_vertices):
+        # Sign bits included: compare bytes, not values.  Points on the
+        # vertices give the exact zeros where a sign could differ.
+        if on_vertices:
+            pts = np.vstack([pts, loop[:: max(1, len(loop) // 5)]])
+        table = segment_table(loop)
+        got = project_points(pts, table)
+        want = pair_array_projection(pts, table)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+
     @given(loop=convex_loops(), pts=query_points())
     @settings(max_examples=40, deadline=None)
     def test_table_equals_raw_polyline_bit_for_bit(self, loop, pts):
         table = segment_table(loop)
         assert_same_projection(project_points(pts, table), project_points(pts, loop))
-
-    @given(loop=convex_loops(), pts=query_points(), data=st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_table_equals_raw_polyline_under_mask(self, loop, pts, data):
-        mask = data.draw(segment_masks(len(loop)))
-        table = segment_table(loop)
-        assert_same_projection(
-            project_points(pts, table, segment_mask=mask),
-            project_points(pts, loop, segment_mask=mask),
-        )
 
     @given(loop=convex_loops(), pts=query_points())
     @settings(max_examples=40, deadline=None)

@@ -90,6 +90,11 @@ class TestValidation:
         with pytest.raises(SimulationError):
             model.step(CarState(), 0.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+    def test_dt_finite(self, model, dt):
+        with pytest.raises(SimulationError, match="finite"):
+            model.step(CarState(), 0.0, 0.0, dt)
+
     def test_bad_params_rejected(self):
         with pytest.raises(SimulationError):
             CarParams(wheelbase=-1.0)

@@ -101,22 +101,6 @@ class TestProjection:
         assert side_in[0] == 1.0
         assert side_out[0] == -1.0
 
-    def test_segment_mask(self):
-        poly = circle(64)
-        mask = np.zeros(64, dtype=bool)
-        mask[:4] = True  # only segments near angle 0
-        dist_masked, _, _ = project_points(np.array([[0.0, 1.05]]), poly, mask)
-        dist_full, _, _ = project_points(np.array([[0.0, 1.05]]), poly)
-        assert dist_masked[0] > dist_full[0]  # forced onto far segments
-
-    def test_empty_mask_rejected(self):
-        with pytest.raises(ValueError):
-            project_points(np.zeros((1, 2)), circle(), np.zeros(64, dtype=bool))
-
-    def test_wrong_mask_shape_rejected(self):
-        with pytest.raises(ValueError):
-            project_points(np.zeros((1, 2)), circle(64), np.zeros(10, dtype=bool))
-
 
 class TestPointInPolygon:
     def test_circle_membership(self):

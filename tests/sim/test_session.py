@@ -223,3 +223,8 @@ class TestValidation:
     def test_bad_dt(self, oval_track):
         with pytest.raises(SimulationError):
             DrivingSession(oval_track, dt=0.0, render=False)
+
+    @pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+    def test_non_finite_dt(self, oval_track, dt):
+        with pytest.raises(SimulationError, match="finite"):
+            DrivingSession(oval_track, dt=dt, render=False)

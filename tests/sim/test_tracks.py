@@ -93,15 +93,6 @@ class TestTrackGeometry:
     def test_minimum_radius_positive(self, oval_track):
         assert oval_track.minimum_radius() > oval_track.half_width
 
-    def test_segments_near_culls(self, oval_track):
-        start = oval_track.point_at(0.0)
-        mask = oval_track.segments_near(start, radius=0.5)
-        assert 0 < mask.sum() < len(mask)
-
-    def test_segments_near_fallback_when_far(self, oval_track):
-        mask = oval_track.segments_near(np.array([999.0, 999.0]), radius=0.5)
-        assert mask.all()
-
 
 def reference_point_at(track, s):
     """point_at as a ring rebuilt from the centreline on every call."""
