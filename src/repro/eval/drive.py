@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.rng import ensure_rng, seed_from_name
-from repro.eval.spec import resolve_params
+from repro.eval.spec import number_param, resolve_params
 from repro.obs.metrics import MetricsRegistry, SeriesHandle
 from repro.obs.tracer import NullTracer, Tracer
 from repro.sim.session import LapStats
@@ -155,28 +155,6 @@ class DriveArtifacts:
     tracks_spawned: int = 0
 
 
-def _number(
-    params: dict, key: str, where: str, whole: bool = False, positive: bool = False
-) -> int | float:
-    """``params[key]``, refused unless a finite number ``>= 0`` (``> 0``).
-
-    ``whole`` also refuses a fraction, which ``int`` would truncate.
-    """
-    value = params[key]
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (
-        number
-        and math.isfinite(value)
-        and (value > 0 if positive else value >= 0)
-        and (not whole or value == int(value))
-    ):
-        raise ConfigurationError(
-            f"{where}.{key} must be a {'whole' if whole else 'finite'} number "
-            f"{'> 0' if positive else '>= 0'}, got {value!r}"
-        )
-    return int(value) if whole else float(value)
-
-
 def run_drive(
     name: str,
     params: dict,
@@ -197,18 +175,18 @@ def run_drive(
         track = make_track(track_name)
     except SimulationError as exc:
         raise ConfigurationError(f"{where}.track: {exc.args[0]}") from None
-    n_vehicles = _number(params, "n_vehicles", where, whole=True, positive=True)
-    ticks = _number(params, "ticks", where, whole=True, positive=True)
-    dt = _number(params, "dt", where, positive=True)
-    skill = _number(params, "skill", where)
-    noise_amp = _number(params, "steering_noise", where)
+    n_vehicles = number_param(params, "n_vehicles", where, whole=True, positive=True)
+    ticks = number_param(params, "ticks", where, whole=True, positive=True)
+    dt = number_param(params, "dt", where, positive=True)
+    skill = number_param(params, "skill", where)
+    noise_amp = number_param(params, "steering_noise", where)
     perception = params["perception"]
     in_perception = f"{where}.perception"
     tracker = GreedyTracker(
-        noise_m=_number(perception, "noise_m", in_perception),
-        dropout=_number(perception, "dropout", in_perception),
-        gate_m=_number(perception, "gate_m", in_perception, positive=True),
-        max_coast=_number(perception, "max_coast", in_perception, whole=True),
+        noise_m=number_param(perception, "noise_m", in_perception),
+        dropout=number_param(perception, "dropout", in_perception),
+        gate_m=number_param(perception, "gate_m", in_perception, positive=True),
+        max_coast=number_param(perception, "max_coast", in_perception, whole=True),
         seed=seed_from_name("drive-perception", seed),
     )
     artifacts = DriveArtifacts(
@@ -216,7 +194,7 @@ def run_drive(
         n_vehicles=n_vehicles,
         ticks=ticks,
         dt=dt,
-        match_radius_m=_number(perception, "match_radius_m", in_perception),
+        match_radius_m=number_param(perception, "match_radius_m", in_perception),
     )
 
     fleet = FleetSession(

@@ -4,10 +4,12 @@ Edge side of the continuum loop.  Each simulated vehicle owns a seeded
 record stream (keyed by its name, so fleet size changes never perturb
 another vehicle's data) and periodically flushes one encoded shard into
 the ``fleet-raw`` object-store container on scheduler events spread
-across the collection window.  The cloud-side :class:`IngestStage` then
-scans the raw container, validates + cleans each new shard (non-finite
-labels dropped, commands clipped to the actuator range), and writes the
-result to ``fleet-clean`` — the accumulating training set.  A shard that
+across the collection window.  The records of one flush of every
+vehicle are drawn in one batched call, each vehicle from its own
+stream.  The cloud-side :class:`IngestStage` then scans the raw
+container, validates + cleans each new shard (non-finite labels
+dropped, commands clipped to the actuator range), and writes the result
+to ``fleet-clean`` — the accumulating training set.  A shard that
 cleaning leaves unchanged is stored as the raw payload itself, so each
 flush is encoded exactly once.
 
@@ -113,14 +115,11 @@ class FleetDataPlane:
         self.raw = store.create_container(RAW_CONTAINER)
         # One stream per vehicle, keyed by name: vehicle veh-0003 flushes
         # identical records whether the fleet has 4 vehicles or 4000.
+        # Insertion order is vehicle order, which the flushes follow.
         self._rngs: dict[str, np.random.Generator] = {}
         for index in range(self.n_vehicles):
-            name = self._vehicle_name(index)
+            name = f"veh-{index:04d}"
             self._rngs[name] = ensure_rng(seed_from_name(name, self.seed))
-
-    @staticmethod
-    def _vehicle_name(index: int) -> str:
-        return f"veh-{index:04d}"
 
     def collect_round(
         self, round_no: int, window_s: float, poisoned: bool = False
@@ -129,7 +128,11 @@ class FleetDataPlane:
 
         Flush instants are spread deterministically across the window
         (vehicle-staggered), so raw-container object order and any
-        store-error fault windows interact reproducibly.
+        store-error fault windows interact reproducibly.  Flush ``f`` of
+        every vehicle is one wave, and all of a wave's instants precede
+        the next wave's; each wave's records are drawn in one batched
+        call before anything is scheduled, so a flush event only encodes
+        and stores its shard.
         """
         if window_s <= 0:
             raise FleetError(f"window_s must be positive, got {window_s}")
@@ -138,9 +141,14 @@ class FleetDataPlane:
         with self.tracer.span(
             "fleet.collect", round=round_no, vehicles=self.n_vehicles
         ):
-            for index in range(self.n_vehicles):
-                name = self._vehicle_name(index)
-                for flush in range(self.flushes_per_round):
+            waves = [
+                self.world.sample_many(
+                    self._rngs.values(), self.records_per_flush, poisoned=poisoned
+                )
+                for _flush in range(self.flushes_per_round)
+            ]
+            for index, name in enumerate(self._rngs):
+                for flush, (frames, labels) in enumerate(waves):
                     offset = (
                         (flush + (index + 1) / (self.n_vehicles + 1))
                         * window_s
@@ -149,7 +157,8 @@ class FleetDataPlane:
                     self.scheduler.schedule_at(
                         start + offset,
                         self._make_flush(
-                            name, round_no, flush, poisoned, tallies
+                            name, round_no, flush, frames[index], labels[index],
+                            tallies,
                         ),
                         label="fleet.flush",
                     )
@@ -170,13 +179,11 @@ class FleetDataPlane:
         vehicle: str,
         round_no: int,
         flush: int,
-        poisoned: bool,
+        frames: np.ndarray,
+        labels: np.ndarray,
         tallies: dict[str, int],
     ):
         def run_flush() -> None:
-            frames, labels = self.world.sample(
-                self._rngs[vehicle], self.records_per_flush, poisoned=poisoned
-            )
             name = f"r{round_no:03d}-{vehicle}-f{flush:02d}{SHARD_SUFFIX}"
             try:
                 self.raw.put(
@@ -237,11 +244,12 @@ class IngestStage:
                     skipped += 1
                     continue
                 cleaned = self._clean(frames, labels)
+                removed = 0
                 if cleaned is not None:
                     frames, labels, removed = cleaned
-                    dropped += removed
                 if frames.shape[0] == 0:
                     self._processed.add(name)
+                    dropped += removed
                     skipped += 1
                     continue
                 if cleaned is not None:
@@ -251,9 +259,11 @@ class IngestStage:
                         name, payload, content_type=SHARD_CONTENT_TYPE
                     )
                 except _STORE_FAILURES:
+                    # Retried next pass, which counts its dropped rows.
                     failed += 1
                     continue
                 self._processed.add(name)
+                dropped += removed
                 fresh_shards += 1
                 fresh_records += int(frames.shape[0])
         if fresh_records:
@@ -273,12 +283,12 @@ class IngestStage:
     ) -> tuple[np.ndarray, np.ndarray, int] | None:
         """Drop non-finite rows; clip commands to the actuator range.
 
-        Returns ``None`` when neither step would change the shard: no
-        row is dropped and every label already lies in ``[-1, 1]``.
+        Returns ``None`` when neither step would change the shard: every
+        label already lies in ``[-1, 1]``, a test that NaN and ±inf fail.
         """
-        finite = np.all(np.isfinite(labels), axis=1)
-        if finite.all() and np.all(np.abs(labels) <= 1.0):
+        if (np.abs(labels) <= 1.0).all():
             return None
+        finite = np.isfinite(labels).all(axis=1)
         removed = int(labels.shape[0] - finite.sum())
         frames = frames[finite]
         labels = np.clip(labels[finite], -1.0, 1.0)

@@ -6,11 +6,13 @@ verdict with explicit reasons.  Thresholds combine classic serving SLOs
 (tail latency, deadline attainment) with the driving metrics the paper
 cares about: cross-track error (how far off the racing line the model's
 steering would put the car) and the stale-command ratio of the closed
-vehicle loop.
+vehicle loop.  Every bound fails closed: a measurement passes only when
+it is ``<=`` its bound, so a NaN measurement fails.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError
@@ -36,6 +38,15 @@ class GateThresholds:
     max_cte_regression_m: float = 0.08
 
     def __post_init__(self) -> None:
+        bounds = (
+            self.max_p95_ms,
+            self.max_deadline_miss,
+            self.max_stale_ratio,
+            self.max_cte_m,
+            self.max_cte_regression_m,
+        )
+        if not all(math.isfinite(bound) for bound in bounds):
+            raise ConfigurationError(f"gate bounds must be finite, got {self}")
         if self.min_completions < 1:
             raise ConfigurationError(
                 f"min_completions must be >= 1, got {self.min_completions}"
@@ -75,7 +86,8 @@ def evaluate_gate(
 
     Checks run in a fixed order so ``reasons`` is deterministic.  A
     candidate that served too few requests fails outright — a crashed
-    canary must not pass a gate by silence.
+    canary must not pass a gate by silence — and a measurement fails
+    unless it is ``<=`` its bound, so NaN fails too.
     """
     reasons: list[str] = []
     if candidate.completed < thresholds.min_completions:
@@ -83,30 +95,30 @@ def evaluate_gate(
             f"completions {candidate.completed} < {thresholds.min_completions}"
         )
     else:
-        if candidate.p95_ms > thresholds.max_p95_ms:
+        if not candidate.p95_ms <= thresholds.max_p95_ms:
             reasons.append(
                 f"p95 {candidate.p95_ms:.3f}ms > {thresholds.max_p95_ms:.3f}ms"
             )
-        if candidate.deadline_miss_rate > thresholds.max_deadline_miss:
+        if not candidate.deadline_miss_rate <= thresholds.max_deadline_miss:
             reasons.append(
                 f"deadline_miss {candidate.deadline_miss_rate:.4f} > "
                 f"{thresholds.max_deadline_miss:.4f}"
             )
-        if candidate.mean_cte_m > thresholds.max_cte_m:
+        if not candidate.mean_cte_m <= thresholds.max_cte_m:
             reasons.append(
                 f"cte {candidate.mean_cte_m:.4f}m > {thresholds.max_cte_m:.4f}m"
             )
         if (
             baseline is not None
             and baseline.completed >= thresholds.min_completions
-            and candidate.mean_cte_m
-            > baseline.mean_cte_m + thresholds.max_cte_regression_m
+            and not candidate.mean_cte_m
+            <= baseline.mean_cte_m + thresholds.max_cte_regression_m
         ):
             reasons.append(
                 f"cte regression {candidate.mean_cte_m - baseline.mean_cte_m:.4f}m"
                 f" > {thresholds.max_cte_regression_m:.4f}m vs stable"
             )
-    if stale_ratio > thresholds.max_stale_ratio:
+    if not stale_ratio <= thresholds.max_stale_ratio:
         reasons.append(
             f"stale_ratio {stale_ratio:.4f} > {thresholds.max_stale_ratio:.4f}"
         )

@@ -16,7 +16,8 @@ one shared discrete-event scheduler.  Each round:
 Everything is a pure function of :class:`~repro.fleet.config.FleetConfig`
 (including its seed): the end-of-run :class:`FleetSummary` is
 byte-identical across same-config runs, which is what the golden-trace
-and property suites lock.
+and property suites lock.  Every run ends by checking that each flush
+and each flushed record is accounted for.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from dataclasses import asdict, dataclass
 
 from repro.artifacts.trovi import TroviHub
 from repro.common.clock import EventScheduler
+from repro.common.errors import FleetError
 from repro.common.rng import seed_from_name
 from repro.faults.injector import FaultInjector
 from repro.fleet.config import FleetConfig
@@ -238,7 +240,7 @@ class FleetLoop:
             )
             self._rounds.inc()
         final_stable = self.registry.resolve(TAG_STABLE)
-        return FleetSummary(
+        summary = FleetSummary(
             rounds=tuple(reports),
             elapsed_s=self.scheduler.clock.now - start,
             records_flushed=sum(r.collect.flushed_records for r in reports),
@@ -257,4 +259,41 @@ class FleetLoop:
                 and r.rollout.outcome == OUTCOME_ROLLED_BACK
             ),
             final_stable=final_stable if final_stable is not None else 0,
+        )
+        _check_summary(config, summary)
+        return summary
+
+
+def _check_summary(config: FleetConfig, summary: FleetSummary) -> None:
+    """Every flush is accounted for, and no record is ingested twice.
+
+    Each round, every vehicle's every flush either stored a shard of
+    ``records_per_flush`` records or failed.  Over the run, each flushed
+    record is at most once ingested or dropped by cleaning, and exactly
+    once unless a round skipped an object or failed a read.  A violation
+    raises :class:`~repro.common.errors.FleetError`.
+    """
+    flushes = config.n_vehicles * config.flushes_per_round
+    for report in summary.rounds:
+        collect = report.collect
+        if collect.flushed_shards + collect.failed_flushes != flushes:
+            raise FleetError(
+                f"round {report.round_no}: {collect.flushed_shards} stored + "
+                f"{collect.failed_flushes} failed flushes, expected {flushes}"
+            )
+        records = collect.flushed_shards * config.records_per_flush
+        if collect.flushed_records != records:
+            raise FleetError(
+                f"round {report.round_no}: {collect.flushed_records} records in "
+                f"{collect.flushed_shards} shards of {config.records_per_flush}"
+            )
+    ingests = [report.ingest for report in summary.rounds]
+    accounted = sum(each.fresh_records + each.dropped_records for each in ingests)
+    exact = not any(each.skipped_objects or each.failed_reads for each in ingests)
+    if accounted > summary.records_flushed or (
+        exact and accounted != summary.records_flushed
+    ):
+        raise FleetError(
+            f"{accounted} records ingested or dropped of "
+            f"{summary.records_flushed} flushed"
         )

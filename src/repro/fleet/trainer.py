@@ -8,11 +8,13 @@ incremental rather than from scratch — on a sliding window of the most
 recent cleaned shards.  Training cost is charged to the simulated clock
 through the testbed GPU cost model (FLOPs / effective FLOPS), and the
 new checkpoint is published to the registry with its validation loss
-and held-out cross-track error.
+and held-out cross-track error; a candidate whose cross-track error is
+not finite raises :class:`~repro.common.errors.FleetError` instead.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,6 +145,13 @@ class IncrementalTrainer:
             eval_cte_m = self.cte_gain_m * self.world.steering_error(
                 model, self._eval_frames, self._eval_labels
             )
+            if not math.isfinite(eval_cte_m):
+                # A diverged model must not reach the registry: the
+                # bootstrap round promotes without any gate.
+                raise FleetError(
+                    f"round {round_no}: candidate eval_cte_m is {eval_cte_m}; "
+                    "training diverged"
+                )
             val_loss = history.val_loss[-1] if history.val_loss else 0.0
             version = self.registry.publish(
                 model,

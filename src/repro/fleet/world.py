@@ -15,9 +15,17 @@ cross-track error); a *poisoned* round inverts the recorded steering
 labels, producing the confidently-wrong candidate the rollback tests
 need.  Everything is a pure function of the structure seed and the
 caller-supplied stream, so identical seeds yield identical worlds.
+
+:meth:`SyntheticTrackWorld.sample_many` draws one flush for many cars
+at once: each car draws its latents and noise from its own stream, and
+the pixel arithmetic runs in one broadcast over a chunk of whole cars.
+:meth:`~SyntheticTrackWorld.sample` is its one-stream call.
 """
 
 from __future__ import annotations
+
+import math
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -25,6 +33,11 @@ from repro.common.errors import ConfigurationError
 from repro.common.rng import ensure_rng
 
 __all__ = ["SyntheticTrackWorld"]
+
+#: Float64 values one broadcast of the pixel arithmetic holds: a chunk is
+#: as many whole cars as fit, and at least one.  A whole-wave broadcast
+#: of large frames falls out of cache and runs slower than chunks.
+_CHUNK_VALUES = 1 << 16
 
 
 class SyntheticTrackWorld:
@@ -38,12 +51,19 @@ class SyntheticTrackWorld:
         k_offset: float = 0.9,
         k_curv: float = 0.35,
     ) -> None:
-        if len(frame_hw) != 2 or frame_hw[0] < 5 or frame_hw[1] < 5:
+        if len(frame_hw) != 2 or not all(
+            math.isfinite(side) and side == int(side) and side >= 5
+            for side in frame_hw
+        ):
             raise ConfigurationError(
-                f"frame_hw must be (H, W) with H, W >= 5, got {frame_hw}"
+                f"frame_hw must be (H, W) with whole H, W >= 5, got {frame_hw}"
             )
-        if noise < 0:
-            raise ConfigurationError(f"noise must be >= 0, got {noise}")
+        if not (math.isfinite(noise) and noise >= 0):
+            raise ConfigurationError(f"noise must be finite and >= 0, got {noise}")
+        if not (math.isfinite(k_offset) and math.isfinite(k_curv)):
+            raise ConfigurationError(
+                f"k_offset and k_curv must be finite, got {k_offset}, {k_curv}"
+            )
         rng = ensure_rng(seed)
         h, w = int(frame_hw[0]), int(frame_hw[1])
         self.frame_hw = (h, w)
@@ -77,26 +97,71 @@ class SyntheticTrackWorld:
         stay honest) — training on it yields a model that confidently
         steers the wrong way.
         """
+        frames, labels = self.sample_many([rng], n, poisoned=poisoned)
+        return frames[0], labels[0]
+
+    def sample_many(
+        self,
+        rngs: Iterable[int | np.random.Generator | None],
+        n: int,
+        poisoned: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Draw ``n`` labelled records from each stream of ``rngs``.
+
+        Returns uint8 frames ``(k, n, H, W, 3)`` and float32 labels
+        ``(k, n, 2)`` for ``k`` streams; row ``i`` is bit for bit what
+        :meth:`sample` draws from stream ``i``, and each stream ends in
+        the same state.  Streams draw in order, each its two latents per
+        record and then its pixel noise, so a stream listed twice draws
+        as two :meth:`sample` calls would.
+        """
         if n < 1:
             raise ConfigurationError(f"need n >= 1 records, got {n}")
-        gen = ensure_rng(rng)
-        offsets = gen.uniform(-1.0, 1.0, n)
-        curvatures = gen.uniform(-1.0, 1.0, n)
-        pixels = (
-            self._base[None, :, :, :]
-            + offsets[:, None, None, None] * self._g_offset[None, :, :, :]
-            + curvatures[:, None, None, None] * self._g_curv[None, :, :, :]
-        )
-        if self.noise > 0:
-            pixels = pixels + gen.normal(0.0, self.noise, pixels.shape)
-        frames = np.clip(pixels, 0.0, 255.0).astype(np.uint8)
+        gens = [ensure_rng(rng) for rng in rngs]
+        if not gens:
+            raise ConfigurationError("need at least one stream")
+        k = len(gens)
+        shape = (n,) + self.frame_shape
+        chunk = min(k, max(1, _CHUNK_VALUES // math.prod(shape)))
+        latents = np.empty((k, 2, n))
+        frames = np.empty((k,) + shape, dtype=np.uint8)
+        pixels = np.empty((chunk,) + shape)
+        term = np.empty_like(pixels)
+        noise = np.empty_like(pixels) if self.noise > 0 else None
+        for lo in range(0, k, chunk):
+            hi = min(lo + chunk, k)
+            for index in range(lo, hi):
+                gen = gens[index]
+                # uniform(-1, 1, (2, n)) draws as uniform(n) twice, and
+                # normal(0, s) is 0.0 + s * standard_normal, bit for bit.
+                latents[index] = gen.uniform(-1.0, 1.0, (2, n))
+                if noise is not None:
+                    gen.standard_normal(out=noise[index - lo])
+            # frames = base + offset * g_off + curvature * g_curv + noise,
+            # each sum in the same order as one car at a time.
+            block, extra = pixels[: hi - lo], term[: hi - lo]
+            np.multiply(
+                latents[lo:hi, 0, :, None, None, None], self._g_offset, out=block
+            )
+            block += self._base
+            np.multiply(
+                latents[lo:hi, 1, :, None, None, None], self._g_curv, out=extra
+            )
+            block += extra
+            if noise is not None:
+                jitter = noise[: hi - lo]
+                jitter *= self.noise
+                block += jitter
+            np.clip(block, 0.0, 255.0, out=block)
+            frames[lo:hi] = block
+        offsets, curvatures = latents[:, 0], latents[:, 1]
         angles = np.clip(
             -(self.k_offset * offsets + self.k_curv * curvatures), -1.0, 1.0
         )
         if poisoned:
             angles = -angles
         throttles = 0.55 - 0.25 * np.abs(angles)
-        labels = np.stack([angles, throttles], axis=1).astype(np.float32)
+        labels = np.stack([angles, throttles], axis=-1).astype(np.float32)
         return frames, labels
 
     def eval_pool(

@@ -88,6 +88,32 @@ def test_bad_drive_number_names_the_param(key):
         run_scenario(spec)
 
 
+#: One bad value per kind of numeric fleet param, top level and gates:
+#: NaN, infinite, negative, or a fraction where a count is due.
+BAD_FLEET_VALUES = [
+    ("model_scale", float("nan")),
+    ("learning_rate", float("nan")),
+    ("cte_gain_m", float("nan")),
+    ("n_vehicles", 2.5),
+    ("data_window_s", float("nan")),
+    ("data_window_s", float("inf")),
+    ("epochs", -1),
+    ("gates.max_cte_m", float("nan")),
+    ("gates.max_cte_regression_m", float("nan")),
+    ("gates.min_completions", 2.5),
+]
+
+
+@pytest.mark.parametrize(("key", "value"), BAD_FLEET_VALUES)
+def test_bad_fleet_number_names_the_param(key, value):
+    spec = scenario_spec("fleet-canary-chaos").with_overrides({key: value})
+    with pytest.raises(
+        ConfigurationError,
+        match=rf"'fleet-canary-chaos' params\.{re.escape(key)} must be",
+    ):
+        run_scenario(spec)
+
+
 def _nan_pose_on_tick_5(monkeypatch):
     real = BicycleModel.advance
     calls = []

@@ -1,5 +1,7 @@
 """The fleet data plane: scheduled flushes and the ingest/clean stage."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,37 @@ class TestIngest:
             assert clean.get(name).etag == raw.get(name).etag
             assert clean.get(name).content_type == SHARD_CONTENT_TYPE
 
+    def test_failed_clean_put_counts_dropped_rows_once(self):
+        """A shard retried after a failed write drops its rows once."""
+        store = ObjectStore()
+        scheduler = EventScheduler()
+        raw = store.create_container(RAW_CONTAINER)
+        frames = np.zeros((3, 8, 8, 3), dtype=np.uint8)
+        labels = np.array(
+            [[0.2, 0.5], [np.nan, 0.5], [0.1, 0.5]], dtype=np.float32
+        )
+        raw.put("r001-veh-0000-f00.shard", encode_shard(frames, labels))
+        store.attach_resilience(
+            injector=FaultInjector(
+                FaultPlan([
+                    FaultSpec(
+                        FaultKind.STORE_ERROR,
+                        f"store:{CLEAN_CONTAINER}",
+                        at_s=0.0,
+                        duration_s=1.0,
+                        error_rate=1.0,
+                    ),
+                ])
+            ),
+            clock=scheduler.clock,
+        )
+        ingest = IngestStage(store)
+        first = ingest.run(1)
+        assert (first.failed_reads, first.dropped_records) == (1, 0)
+        scheduler.run_until(2.0)
+        second = ingest.run(2)
+        assert (second.fresh_records, second.dropped_records) == (2, 1)
+
     def test_corrupt_shard_skipped(self):
         store = ObjectStore()
         raw = store.create_container(RAW_CONTAINER)
@@ -154,6 +187,41 @@ class TestIngest:
         report = IngestStage(store).run(1)
         assert report.skipped_objects == 1
         assert report.fresh_shards == 0
+
+
+def reference_clean(frames, labels):
+    """The clean test before it was one reduction, kept verbatim."""
+    finite = np.all(np.isfinite(labels), axis=1)
+    if finite.all() and np.all(np.abs(labels) <= 1.0):
+        return None
+    removed = int(labels.shape[0] - finite.sum())
+    frames = frames[finite]
+    labels = np.clip(labels[finite], -1.0, 1.0)
+    return frames, labels, removed
+
+
+#: Label values at the edges of the clean test, as float32.
+EDGE_LABELS = (
+    float("nan"), float("inf"), float("-inf"), 1.0, -1.0, 1.0000001, -0.0, 0.3,
+)
+
+
+class TestCleanEquivalence:
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_every_shard_of_edge_labels(self, rows):
+        """Each shard of ``rows`` rows over the edge values cleans as before."""
+        frames = np.arange(rows * 2 * 2 * 3, dtype=np.uint8).reshape(rows, 2, 2, 3)
+        pairs = list(itertools.product(EDGE_LABELS, repeat=2))
+        for shard in itertools.product(pairs, repeat=rows):
+            labels = np.array(shard, dtype=np.float32)
+            got = IngestStage._clean(frames, labels)
+            want = reference_clean(frames, labels)
+            assert (got is None) == (want is None), shard
+            if got is None:
+                continue
+            assert got[0].tobytes() == want[0].tobytes(), shard
+            assert got[1].tobytes() == want[1].tobytes(), shard
+            assert got[2] == want[2], shard
 
 
 class TestValidation:

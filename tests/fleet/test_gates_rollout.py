@@ -95,6 +95,47 @@ class TestGates:
         with pytest.raises(ConfigurationError):
             GateThresholds(max_deadline_miss=1.5)
 
+    def test_nan_measurements_fail_closed(self):
+        """A NaN fails every bound it meets, as a value above it would."""
+        nan = float("nan")
+        cases = {
+            "p95": (stats(p95_ms=nan), None, 0.0),
+            "cte": (stats(mean_cte_m=nan), None, 0.0),
+            "regression": (stats(), stats(version="v001", mean_cte_m=nan), 0.0),
+            "stale_ratio": (stats(), None, nan),
+        }
+        for key, (candidate, baseline, stale_ratio) in cases.items():
+            decision = evaluate_gate(
+                "canary", candidate, baseline, stale_ratio, GateThresholds()
+            )
+            assert not decision.passed, key
+            assert any(key in reason for reason in decision.reasons), key
+
+    def test_a_measurement_at_its_bound_passes(self):
+        thresholds = GateThresholds()
+        candidate = stats(
+            p95_ms=thresholds.max_p95_ms, mean_cte_m=thresholds.max_cte_m
+        )
+        decision = evaluate_gate(
+            "shadow", candidate, None, thresholds.max_stale_ratio, thresholds
+        )
+        assert decision.passed, decision.reasons
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "max_p95_ms",
+            "max_deadline_miss",
+            "max_stale_ratio",
+            "max_cte_m",
+            "max_cte_regression_m",
+        ],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_bounds_rejected(self, field, value):
+        with pytest.raises(ConfigurationError):
+            GateThresholds(**{field: value})
+
 
 class TestScoreboard:
     def test_versions_sorted_and_stats(self):

@@ -11,8 +11,12 @@ Three behaviours are pinned, each byte-identical per seed:
   fails the min-completions gate — a fault-*induced* rollback.
 """
 
+import dataclasses
 import json
 
+import pytest
+
+from repro.common.errors import FleetError
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.fleet import (
     OUTCOME_BOOTSTRAPPED,
@@ -21,6 +25,7 @@ from repro.fleet import (
     FleetConfig,
     FleetLoop,
 )
+from repro.fleet.dataplane import FleetDataPlane, IngestStage
 from repro.fleet.gates import GateThresholds
 from repro.obs.metrics import MetricsRegistry
 
@@ -162,3 +167,42 @@ class TestStoreFaults:
         # The loop still completes every round and ends with a stable.
         assert len(summary.rounds) == 3
         assert summary.final_stable >= 1
+
+
+#: (stage class, method, report fields shifted by how much, whether the
+#: run then fails its post-conditions)
+SKEWED_REPORTS = {
+    "shard-lost": (FleetDataPlane, "collect_round", {"flushed_shards": -1}, True),
+    "failure-extra": (FleetDataPlane, "collect_round", {"failed_flushes": 1}, True),
+    "record-lost": (FleetDataPlane, "collect_round", {"flushed_records": -1}, True),
+    "ingested-twice": (IngestStage, "run", {"fresh_records": 1}, True),
+    "ingest-lost": (IngestStage, "run", {"fresh_records": -1}, True),
+    "ingest-lost-to-a-failed-read": (
+        IngestStage, "run", {"fresh_records": -1, "failed_reads": 1}, False,
+    ),
+}
+
+
+class TestPostConditions:
+    """Every flush and every flushed record is accounted for after a run."""
+
+    @pytest.mark.parametrize("case", sorted(SKEWED_REPORTS))
+    def test_skewed_report(self, monkeypatch, case):
+        owner, method, shift, fails = SKEWED_REPORTS[case]
+        real = getattr(owner, method)
+
+        def skewed(self, *args, **kwargs):
+            report = real(self, *args, **kwargs)
+            return dataclasses.replace(
+                report,
+                **{name: getattr(report, name) + by for name, by in shift.items()},
+            )
+
+        monkeypatch.setattr(owner, method, skewed)
+        if fails:
+            with pytest.raises(FleetError, match="flush|records"):
+                run(rounds=1)
+        else:
+            # A failed read is retried next round, so a record may be
+            # missing from the run's ingest without a fault.
+            assert len(run(rounds=1).rounds) == 1

@@ -3,11 +3,14 @@
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from repro.artifacts.trovi import TroviHub
 from repro.common.clock import EventScheduler
+from repro.common.errors import FleetError
 from repro.common.rng import ensure_rng, seed_from_name
-from repro.fleet.registry import ModelRegistry
+from repro.fleet import FleetConfig, FleetLoop
+from repro.fleet.registry import TAG_STABLE, ModelRegistry
 from repro.fleet.trainer import IncrementalTrainer
 from repro.fleet.world import SyntheticTrackWorld
 from repro.objectstore.store import ObjectStore
@@ -58,3 +61,28 @@ class TestSplit:
         # One float32 window (4 bytes a pixel) and one shuffled uint8 copy
         # (1 byte a pixel); converting before shuffling needs 8.
         assert peak < 6 * frames.nbytes
+
+
+class TestDivergence:
+    def test_non_finite_candidate_is_refused(self):
+        """A diverged model raises instead of reaching the registry.
+
+        Round 1 bootstraps the stable tag without a gate, so nothing
+        else would stop a NaN candidate from driving the fleet.
+        """
+        config = FleetConfig(
+            n_vehicles=4,
+            records_per_flush=8,
+            frame_hw=(8, 12),
+            epochs=1,
+            rounds=2,
+            min_fresh_records=8,
+            learning_rate=1e6,
+            seed=0,
+        )
+        loop = FleetLoop(config)
+        with np.errstate(all="ignore"), pytest.raises(
+            FleetError, match="round 1: candidate eval_cte_m is nan"
+        ):
+            loop.run()
+        assert loop.registry.resolve(TAG_STABLE) is None

@@ -51,13 +51,22 @@ class TestWorld:
         assert float(np.mean(np.abs(residual))) < 0.05
 
     def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            SyntheticTrackWorld(frame_hw=(2, 24))
+        for frame_hw in ((2, 24), (8.5, 12), (float("nan"), 12), (8, 12, 3)):
+            with pytest.raises(ConfigurationError):
+                SyntheticTrackWorld(frame_hw=frame_hw)
         with pytest.raises(ConfigurationError):
             SyntheticTrackWorld(noise=-1.0)
         world = SyntheticTrackWorld()
         with pytest.raises(ConfigurationError):
             world.sample(ensure_rng(0), 0)
+        with pytest.raises(ConfigurationError):
+            world.sample_many([], 4)
+
+    @pytest.mark.parametrize("param", ["noise", "k_offset", "k_curv"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameters_rejected(self, param, value):
+        with pytest.raises(ConfigurationError, match=param):
+            SyntheticTrackWorld(**{param: value})
 
 
 def small_shard() -> bytes:
