@@ -108,8 +108,9 @@ class Clock:
 class ScheduledEvent:
     """An event queued on an :class:`EventScheduler`.
 
-    Ordering is (time, sequence) so that events scheduled for the same
-    instant fire in FIFO order.  ``cancel()`` marks the event so the
+    The scheduler's heap orders ``(time, seq, event)`` entries, and
+    ``seq`` is unique, so events scheduled for the same instant fire in
+    FIFO order and are never compared.  ``cancel()`` marks the event so the
     scheduler skips it; cancelling an event that already fired (or was
     already cancelled) is a no-op.
     """
@@ -152,30 +153,6 @@ class ScheduledEvent:
                 and scheduler._tombstones > scheduler._live
             ):
                 scheduler._compact()
-
-    # (time, seq) ordering, mirroring the former dataclass(order=True).
-
-    def _key(self) -> tuple[float, int]:
-        return (self.time, self.seq)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ScheduledEvent):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "ScheduledEvent") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "ScheduledEvent") -> bool:
-        return self._key() > other._key()
-
-    def __ge__(self, other: "ScheduledEvent") -> bool:
-        return self._key() >= other._key()
-
-    __hash__ = None  # type: ignore[assignment]  # order=True dataclasses were unhashable
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "live"

@@ -1,0 +1,54 @@
+"""The one rule that refuses a bad number in a setting.
+
+A config dataclass checks its own numbers with :func:`check_numbers`,
+and a scenario runner checks each param it reads with
+:func:`number_param`, so a setting is refused the same way whether it
+comes from a spec file or is built in code.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import fields
+
+from repro.common.errors import ConfigurationError
+
+__all__ = ["number_param", "check_numbers"]
+
+
+def number_param(
+    value, name: str, whole: bool = False, positive: bool = False
+) -> int | float:
+    """``value``, refused unless a finite number ``>= 0`` (``> 0``).
+
+    ``whole`` also refuses a fraction, which ``int`` would truncate.
+    ``name`` is the setting's full name, as the message reports it.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (
+        number
+        and math.isfinite(value)
+        and (value > 0 if positive else value >= 0)
+        and (not whole or value == int(value))
+    ):
+        raise ConfigurationError(
+            f"{name} must be a {'whole' if whole else 'finite'} number "
+            f"{'> 0' if positive else '>= 0'}, got {value!r}"
+        )
+    return int(value) if whole else float(value)
+
+
+def check_numbers(config) -> None:
+    """Apply :func:`number_param` to each number field of ``config``.
+
+    ``config`` is a frozen dataclass instance.  A field whose default is
+    an int is a count and must be whole; one whose default is a float
+    must be finite.  The int or float returned replaces the field's
+    value.  ``seed`` is not checked: any int seeds a stream.
+    """
+    for f in fields(config):
+        if type(f.default) in (int, float) and f.name != "seed":
+            value = number_param(
+                getattr(config, f.name), f.name, whole=type(f.default) is int
+            )
+            object.__setattr__(config, f.name, value)

@@ -28,8 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.common.errors import ConfigurationError, SimulationError
+from repro.common.params import number_param
 from repro.common.rng import ensure_rng, seed_from_name
-from repro.eval.spec import number_param, resolve_params
+from repro.eval.spec import resolve_params
 from repro.obs.metrics import MetricsRegistry, SeriesHandle
 from repro.obs.tracer import NullTracer, Tracer
 from repro.sim.session import LapStats
@@ -175,18 +176,24 @@ def run_drive(
         track = make_track(track_name)
     except SimulationError as exc:
         raise ConfigurationError(f"{where}.track: {exc.args[0]}") from None
-    n_vehicles = number_param(params, "n_vehicles", where, whole=True, positive=True)
-    ticks = number_param(params, "ticks", where, whole=True, positive=True)
-    dt = number_param(params, "dt", where, positive=True)
-    skill = number_param(params, "skill", where)
-    noise_amp = number_param(params, "steering_noise", where)
+    n_vehicles = number_param(
+        params["n_vehicles"], f"{where}.n_vehicles", whole=True, positive=True
+    )
+    ticks = number_param(params["ticks"], f"{where}.ticks", whole=True, positive=True)
+    dt = number_param(params["dt"], f"{where}.dt", positive=True)
+    skill = number_param(params["skill"], f"{where}.skill")
+    noise_amp = number_param(params["steering_noise"], f"{where}.steering_noise")
     perception = params["perception"]
     in_perception = f"{where}.perception"
     tracker = GreedyTracker(
-        noise_m=number_param(perception, "noise_m", in_perception),
-        dropout=number_param(perception, "dropout", in_perception),
-        gate_m=number_param(perception, "gate_m", in_perception, positive=True),
-        max_coast=number_param(perception, "max_coast", in_perception, whole=True),
+        noise_m=number_param(perception["noise_m"], f"{in_perception}.noise_m"),
+        dropout=number_param(perception["dropout"], f"{in_perception}.dropout"),
+        gate_m=number_param(
+            perception["gate_m"], f"{in_perception}.gate_m", positive=True
+        ),
+        max_coast=number_param(
+            perception["max_coast"], f"{in_perception}.max_coast", whole=True
+        ),
         seed=seed_from_name("drive-perception", seed),
     )
     artifacts = DriveArtifacts(
@@ -194,7 +201,9 @@ def run_drive(
         n_vehicles=n_vehicles,
         ticks=ticks,
         dt=dt,
-        match_radius_m=number_param(perception, "match_radius_m", in_perception),
+        match_radius_m=number_param(
+            perception["match_radius_m"], f"{in_perception}.match_radius_m"
+        ),
     )
 
     fleet = FleetSession(

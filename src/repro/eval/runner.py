@@ -11,10 +11,12 @@ Each kind declares its params once, names and defaults in one table
 :class:`~repro.fleet.FleetConfig` itself).  A key the table does not
 know, at any nesting level, raises
 :class:`~repro.common.errors.ConfigurationError` before anything runs,
-so a misspelled key never silently runs the default.  In ``drive``
-and ``fleet`` params and the ``autoscale`` group, so does a number that
-is NaN, infinite, negative, or a fraction where a count is due, naming
-``params.<key>``.
+so a misspelled key never silently runs the default.  So does a
+number that is NaN, infinite, negative, or a fraction where a count is
+due, or one out of its setting's range.  ``drive`` checks each param as
+it reads it; the ``fleet`` params and the ``autoscale`` group are
+checked by the config they build, and the runner prefixes its message
+with the spec, so each reads ``'<spec>' params.<key> ...``.
 
 Every run records into its own
 :class:`~repro.obs.metrics.MetricsRegistry`.  ``instrument`` only picks
@@ -35,12 +37,7 @@ from repro.common.clock import EventScheduler
 from repro.common.errors import ConfigurationError, NoSuchResourceError
 from repro.eval.drive import run_drive
 from repro.eval.library import net_route
-from repro.eval.spec import (
-    ScenarioSpec,
-    check_keys,
-    number_param,
-    resolve_params,
-)
+from repro.eval.spec import ScenarioSpec, check_keys, resolve_params
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NullTracer, Tracer
 
@@ -121,17 +118,14 @@ def _where(spec: ScenarioSpec) -> str:
 def _build(cls, values, where: str, **fixed):
     """``cls(**values, **fixed)``; a key ``cls`` does not declare raises.
 
-    So does a value of a numeric field that is not a finite number
-    ``>= 0``, or not a whole one where the field's default is an int.
+    So does any value ``cls`` itself refuses, its message prefixed with
+    ``where``: each config checks its own numbers and ranges.
     """
     check_keys(values, {f.name for f in fields(cls)} - set(fixed), where)
-    values = dict(values)
-    for f in fields(cls):
-        if f.name in values and type(f.default) in (int, float):
-            values[f.name] = number_param(
-                values, f.name, where, whole=type(f.default) is int
-            )
-    return cls(**values, **fixed)
+    try:
+        return cls(**values, **fixed)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{where}.{exc}") from None
 
 
 def _run_pipeline(

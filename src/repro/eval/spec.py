@@ -26,7 +26,6 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -39,7 +38,6 @@ __all__ = [
     "apply_overrides",
     "canonical_json",
     "check_keys",
-    "number_param",
     "resolve_params",
 ]
 
@@ -87,28 +85,6 @@ def check_keys(params: Any, known, where: str) -> None:
             f"unknown key(s) {', '.join(map(repr, unknown))} in {where}; "
             f"known: {', '.join(sorted(known))}"
         )
-
-
-def number_param(
-    params: dict, key: str, where: str, whole: bool = False, positive: bool = False
-) -> int | float:
-    """``params[key]``, refused unless a finite number ``>= 0`` (``> 0``).
-
-    ``whole`` also refuses a fraction, which ``int`` would truncate.
-    """
-    value = params[key]
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (
-        number
-        and math.isfinite(value)
-        and (value > 0 if positive else value >= 0)
-        and (not whole or value == int(value))
-    ):
-        raise ConfigurationError(
-            f"{where}.{key} must be a {'whole' if whole else 'finite'} number "
-            f"{'> 0' if positive else '>= 0'}, got {value!r}"
-        )
-    return int(value) if whole else float(value)
 
 
 def resolve_params(

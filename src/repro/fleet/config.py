@@ -11,11 +11,36 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigurationError
+from repro.common.params import check_numbers
 from repro.common.rng import DEFAULT_SEED
 from repro.faults.plan import FaultPlan
 from repro.fleet.gates import GateThresholds
 
 __all__ = ["FleetConfig"]
+
+#: Fields that count something the loop needs at least one of.
+_COUNTS = (
+    "n_vehicles",
+    "flushes_per_round",
+    "records_per_flush",
+    "epochs",
+    "batch_size",
+    "max_train_shards",
+    "eval_records",
+    "stage_vehicles",
+    "deadline_ticks",
+    "stable_replicas",
+    "canary_replicas",
+    "rounds",
+)
+#: Fields that must be above zero.
+_POSITIVE = (
+    "data_window_s",
+    "learning_rate",
+    "stage_duration_s",
+    "stage_dt",
+    "cte_gain_m",
+)
 
 
 @dataclass(frozen=True)
@@ -28,6 +53,11 @@ class FleetConfig:
     times are *relative to that round's canary stage start* (crashed
     canaries); ``store_fault_plan`` uses absolute loop times against
     ``store:<container>`` targets (partitioned ingest).
+
+    This is the only declaration and the only check of each setting:
+    the data plane, trainer and rollout read it, and every int or float
+    field is refused at construction unless finite, ``>= 0`` and, for a
+    count, whole (:func:`~repro.common.params.check_numbers`).
     """
 
     # ------------------------------------------------------- data plane
@@ -66,39 +96,29 @@ class FleetConfig:
     store_fault_plan: FaultPlan | None = None
 
     def __post_init__(self) -> None:
-        if self.n_vehicles < 1 or self.stage_vehicles < 1:
-            raise ConfigurationError("need >= 1 vehicle in data and stage fleets")
-        if self.flushes_per_round < 1 or self.records_per_flush < 1:
-            raise ConfigurationError(
-                "flushes_per_round and records_per_flush must be >= 1"
-            )
-        if self.rounds < 1:
-            raise ConfigurationError(f"rounds must be >= 1, got {self.rounds}")
-        if self.data_window_s <= 0 or self.stage_duration_s <= 0:
-            raise ConfigurationError("data_window_s and stage_duration_s must be > 0")
-        if self.stable_replicas < 1 or self.canary_replicas < 1:
-            raise ConfigurationError("need >= 1 stable and >= 1 canary replica")
-        if not 0.0 < self.canary_fraction < 1.0:
-            raise ConfigurationError(
-                f"canary_fraction must be in (0, 1), got {self.canary_fraction}"
-            )
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ConfigurationError(
-                f"val_fraction must be in (0, 1), got {self.val_fraction}"
-            )
-        if self.eval_records < 1 or self.max_train_shards < 1:
-            raise ConfigurationError(
-                "eval_records and max_train_shards must be >= 1"
-            )
+        check_numbers(self)
+        for name in _COUNTS:
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigurationError(f"{name} must be >= 1, got {value}")
+        for name in _POSITIVE:
+            value = getattr(self, name)
+            if value <= 0:
+                raise ConfigurationError(f"{name} must be > 0, got {value}")
+        for name in ("val_fraction", "canary_fraction"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise ConfigurationError(f"{name} must be in (0, 1), got {value}")
         for round_no in self.poison_rounds:
             if not 1 <= round_no <= self.rounds:
                 raise ConfigurationError(
-                    f"poison round {round_no} outside 1..{self.rounds}"
+                    f"poison_rounds holds {round_no}, outside 1..{self.rounds}"
                 )
         for round_no, _plan in self.canary_fault_plans:
             if not 1 <= round_no <= self.rounds:
                 raise ConfigurationError(
-                    f"fault-plan round {round_no} outside 1..{self.rounds}"
+                    f"canary_fault_plans holds round {round_no}, "
+                    f"outside 1..{self.rounds}"
                 )
 
     @property

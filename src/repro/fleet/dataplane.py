@@ -33,6 +33,7 @@ from repro.common.errors import (
     RetryExhaustedError,
 )
 from repro.common.rng import ensure_rng, seed_from_name
+from repro.fleet.config import FleetConfig
 from repro.fleet.shards import (
     SHARD_CONTENT_TYPE,
     SHARD_SUFFIX,
@@ -92,22 +93,14 @@ class FleetDataPlane:
         store: ObjectStore,
         world: SyntheticTrackWorld,
         scheduler: EventScheduler,
-        n_vehicles: int,
-        flushes_per_round: int,
-        records_per_flush: int,
-        seed: int = 0,
+        config: FleetConfig,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
-        if n_vehicles < 1:
-            raise FleetError(f"need >= 1 vehicle, got {n_vehicles}")
         self.store = store
         self.world = world
         self.scheduler = scheduler
-        self.n_vehicles = int(n_vehicles)
-        self.flushes_per_round = int(flushes_per_round)
-        self.records_per_flush = int(records_per_flush)
-        self.seed = int(seed)
+        self.config = config
         self.tracer = tracer if tracer is not None else NullTracer()
         self.metrics = ensure_registry(metrics)
         self._flushed = SeriesHandle(self.metrics.counter, "fleet.flushed_records")
@@ -117,14 +110,12 @@ class FleetDataPlane:
         # identical records whether the fleet has 4 vehicles or 4000.
         # Insertion order is vehicle order, which the flushes follow.
         self._rngs: dict[str, np.random.Generator] = {}
-        for index in range(self.n_vehicles):
+        for index in range(config.n_vehicles):
             name = f"veh-{index:04d}"
-            self._rngs[name] = ensure_rng(seed_from_name(name, self.seed))
+            self._rngs[name] = ensure_rng(seed_from_name(name, config.seed))
 
-    def collect_round(
-        self, round_no: int, window_s: float, poisoned: bool = False
-    ) -> CollectReport:
-        """Run one collection window; every vehicle flushes on schedule.
+    def collect_round(self, round_no: int, poisoned: bool = False) -> CollectReport:
+        """Run one ``data_window_s`` window; every vehicle flushes on schedule.
 
         Flush instants are spread deterministically across the window
         (vehicle-staggered), so raw-container object order and any
@@ -134,25 +125,24 @@ class FleetDataPlane:
         call before anything is scheduled, so a flush event only encodes
         and stores its shard.
         """
-        if window_s <= 0:
-            raise FleetError(f"window_s must be positive, got {window_s}")
+        config = self.config
+        n_vehicles, flushes = config.n_vehicles, config.flushes_per_round
+        window_s = config.data_window_s
         start = self.scheduler.clock.now
         tallies = {"shards": 0, "records": 0, "failures": 0}
-        with self.tracer.span(
-            "fleet.collect", round=round_no, vehicles=self.n_vehicles
-        ):
+        with self.tracer.span("fleet.collect", round=round_no, vehicles=n_vehicles):
             waves = [
                 self.world.sample_many(
-                    self._rngs.values(), self.records_per_flush, poisoned=poisoned
+                    self._rngs.values(), config.records_per_flush, poisoned=poisoned
                 )
-                for _flush in range(self.flushes_per_round)
+                for _flush in range(flushes)
             ]
             for index, name in enumerate(self._rngs):
                 for flush, (frames, labels) in enumerate(waves):
                     offset = (
-                        (flush + (index + 1) / (self.n_vehicles + 1))
+                        (flush + (index + 1) / (n_vehicles + 1))
                         * window_s
-                        / self.flushes_per_round
+                        / flushes
                     )
                     self.scheduler.schedule_at(
                         start + offset,

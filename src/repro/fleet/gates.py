@@ -12,10 +12,10 @@ it is ``<=`` its bound, so a NaN measurement fails.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError
+from repro.common.params import check_numbers
 from repro.fleet.stage import VersionStats
 
 __all__ = ["GateThresholds", "GateDecision", "evaluate_gate"]
@@ -27,7 +27,9 @@ class GateThresholds:
 
     ``max_cte_m`` is an absolute cross-track-error ceiling;
     ``max_cte_regression_m`` additionally bounds how much worse than the
-    concurrently-measured stable version a candidate may drive.
+    concurrently-measured stable version a candidate may drive.  Each
+    bound is refused at construction unless finite and ``>= 0``
+    (:func:`~repro.common.params.check_numbers`) and in its range.
     """
 
     min_completions: int = 20
@@ -38,31 +40,19 @@ class GateThresholds:
     max_cte_regression_m: float = 0.08
 
     def __post_init__(self) -> None:
-        bounds = (
-            self.max_p95_ms,
-            self.max_deadline_miss,
-            self.max_stale_ratio,
-            self.max_cte_m,
-            self.max_cte_regression_m,
-        )
-        if not all(math.isfinite(bound) for bound in bounds):
-            raise ConfigurationError(f"gate bounds must be finite, got {self}")
+        check_numbers(self)
         if self.min_completions < 1:
             raise ConfigurationError(
                 f"min_completions must be >= 1, got {self.min_completions}"
             )
-        if self.max_p95_ms <= 0 or self.max_cte_m <= 0:
-            raise ConfigurationError(
-                "max_p95_ms and max_cte_m must be positive"
-            )
-        if not 0.0 <= self.max_deadline_miss <= 1.0:
-            raise ConfigurationError(
-                f"max_deadline_miss must be in [0, 1], got {self.max_deadline_miss}"
-            )
-        if not 0.0 <= self.max_stale_ratio <= 1.0:
-            raise ConfigurationError(
-                f"max_stale_ratio must be in [0, 1], got {self.max_stale_ratio}"
-            )
+        for name in ("max_p95_ms", "max_cte_m"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ConfigurationError(f"{name} must be > 0, got {value}")
+        for name in ("max_deadline_miss", "max_stale_ratio"):
+            value = getattr(self, name)
+            if value > 1.0:
+                raise ConfigurationError(f"{name} must be <= 1, got {value}")
 
 
 @dataclass(frozen=True)

@@ -163,10 +163,7 @@ class FleetLoop:
             self.store,
             self.world,
             self.scheduler,
-            n_vehicles=config.n_vehicles,
-            flushes_per_round=config.flushes_per_round,
-            records_per_flush=config.records_per_flush,
-            seed=config.seed,
+            config,
             tracer=self.tracer,
             metrics=self.metrics,
         )
@@ -176,18 +173,7 @@ class FleetLoop:
             self.registry,
             self.world,
             self.scheduler,
-            model_name=config.model_name,
-            model_scale=config.model_scale,
-            epochs=config.epochs,
-            batch_size=config.batch_size,
-            learning_rate=config.learning_rate,
-            val_fraction=config.val_fraction,
-            min_fresh_records=config.min_fresh_records,
-            max_train_shards=config.max_train_shards,
-            gpu=config.gpu,
-            eval_records=config.eval_records,
-            cte_gain_m=config.cte_gain_m,
-            seed=config.seed,
+            config,
             tracer=self.tracer,
             metrics=self.metrics,
         )
@@ -210,9 +196,7 @@ class FleetLoop:
             with self.tracer.span(
                 "fleet.round", round=round_no, poisoned=poisoned
             ):
-                collect = self.dataplane.collect_round(
-                    round_no, config.data_window_s, poisoned=poisoned
-                )
+                collect = self.dataplane.collect_round(round_no, poisoned=poisoned)
                 ingest = self.ingest.run(round_no)
                 train: TrainReport | None = None
                 rollout: RolloutReport | None = None

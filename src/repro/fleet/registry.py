@@ -169,16 +169,9 @@ class ModelRegistry:
     def _metrics_name(self, number: int) -> str:
         return f"{self.version_label(number)}.metrics.json"
 
-    def load(self, number: int, compile_plans: bool = False) -> DonkeyModel:
-        """Rebuild the checkpoint model for a version.
-
-        ``compile_plans=True`` warm-compiles the inference fast path so
-        rollouts can pin the version to serve replicas with no
-        first-request compile cost.
-        """
-        return load_model_bytes(
-            self.model_bytes(number), compile_plans=compile_plans
-        )
+    def load(self, number: int) -> DonkeyModel:
+        """Rebuild the checkpoint model for a version."""
+        return load_model_bytes(self.model_bytes(number))
 
     def history(self) -> list[dict]:
         """Version history, oldest first (JSON-ready)."""

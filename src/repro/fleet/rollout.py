@@ -234,9 +234,8 @@ class RolloutController:
         service = InferenceService(
             STAGE_LATENCY,
             scheduler=self.scheduler,
-            # compile_plans: each stage pins freshly loaded versions, so
-            # the plan is recompiled whenever the rollout changes models.
-            model=self.registry.load(stable, compile_plans=True),
+            # The service compiles the plans of each model it pins.
+            model=self.registry.load(stable),
             model_version=stable_label,
             n_replicas=config.stable_replicas,
             router=TrafficSplitRouter(weights),
@@ -256,7 +255,7 @@ class RolloutController:
             # series still get every record.
             metrics=self.metrics.child(),
         )
-        candidate_model = self.registry.load(candidate, compile_plans=True)
+        candidate_model = self.registry.load(candidate)
         for _ in range(config.canary_replicas):
             service.add_replica(model=candidate_model, model_version=cand_label)
         scoreboard = VersionScoreboard(cte_gain_m=config.cte_gain_m)

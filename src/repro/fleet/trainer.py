@@ -23,6 +23,7 @@ from repro.common.clock import EventScheduler
 from repro.common.errors import FleetError
 from repro.common.rng import ensure_rng, seed_from_name
 from repro.data.datasets import ArraySplit, images_to_float
+from repro.fleet.config import FleetConfig
 from repro.fleet.dataplane import CLEAN_CONTAINER
 from repro.fleet.registry import TAG_STABLE, ModelRegistry
 from repro.fleet.shards import decode_shard
@@ -62,18 +63,7 @@ class IncrementalTrainer:
         registry: ModelRegistry,
         world: SyntheticTrackWorld,
         scheduler: EventScheduler,
-        model_name: str = "linear",
-        model_scale: float = 0.25,
-        epochs: int = 6,
-        batch_size: int = 16,
-        learning_rate: float = 0.003,
-        val_fraction: float = 0.25,
-        min_fresh_records: int = 32,
-        max_train_shards: int = 64,
-        gpu: str = "RTX6000",
-        eval_records: int = 64,
-        cte_gain_m: float = 0.6,
-        seed: int = 0,
+        config: FleetConfig,
         tracer: Tracer | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
@@ -81,18 +71,8 @@ class IncrementalTrainer:
         self.registry = registry
         self.world = world
         self.scheduler = scheduler
-        self.model_name = model_name
-        self.model_scale = float(model_scale)
-        self.epochs = int(epochs)
-        self.batch_size = int(batch_size)
-        self.learning_rate = float(learning_rate)
-        self.val_fraction = float(val_fraction)
-        self.min_fresh_records = int(min_fresh_records)
-        self.max_train_shards = int(max_train_shards)
-        self.gpu = gpu_spec(gpu)
-        self.eval_records = int(eval_records)
-        self.cte_gain_m = float(cte_gain_m)
-        self.seed = int(seed)
+        self.config = config
+        self.gpu = gpu_spec(config.gpu)
         self.tracer = tracer if tracer is not None else NullTracer()
         self.metrics = ensure_registry(metrics)
         self._candidates = SeriesHandle(self.metrics.counter, "fleet.candidates")
@@ -102,7 +82,7 @@ class IncrementalTrainer:
         # Held-out eval pool: the same labelled frames judge every
         # candidate, so per-round cte values are directly comparable.
         self._eval_frames, self._eval_labels = world.eval_pool(
-            self.eval_records, seed_from_name("fleet-eval", self.seed)
+            config.eval_records, seed_from_name("fleet-eval", config.seed)
         )
 
     # ------------------------------------------------------------- wake
@@ -116,10 +96,11 @@ class IncrementalTrainer:
         self._pending_fresh += int(fresh_records)
         if self.registry.resolve(TAG_STABLE) is None:
             return True
-        return self._pending_fresh >= self.min_fresh_records
+        return self._pending_fresh >= self.config.min_fresh_records
 
     def train_round(self, round_no: int) -> TrainReport:
         """Retrain on the shard window and publish the candidate."""
+        config = self.config
         frames, labels = self._load_window()
         if frames.shape[0] < 4:
             raise FleetError(
@@ -132,17 +113,17 @@ class IncrementalTrainer:
             split = self._split(frames, labels, round_no)
             model, warm_start = self._warm_start_model()
             trainer = Trainer(
-                optimizer=Adam(learning_rate=self.learning_rate),
-                batch_size=self.batch_size,
-                epochs=self.epochs,
-                shuffle_seed=seed_from_name(f"fleet-train-{round_no}", self.seed),
+                optimizer=Adam(learning_rate=config.learning_rate),
+                batch_size=config.batch_size,
+                epochs=config.epochs,
+                shuffle_seed=seed_from_name(f"fleet-train-{round_no}", config.seed),
                 # Compiled training plans are bitwise-identical to the
                 # reference layers, so checkpoints do not depend on it.
                 use_plan=True,
             )
             history = trainer.fit(model, split)
             train_s = self._charge_train_time(model, history.samples_seen)
-            eval_cte_m = self.cte_gain_m * self.world.steering_error(
+            eval_cte_m = config.cte_gain_m * self.world.steering_error(
                 model, self._eval_frames, self._eval_labels
             )
             if not math.isfinite(eval_cte_m):
@@ -184,7 +165,7 @@ class IncrementalTrainer:
 
     def _load_window(self) -> tuple[np.ndarray, np.ndarray]:
         """Concatenate the newest ``max_train_shards`` cleaned shards."""
-        names = self.clean.list()[-self.max_train_shards:]
+        names = self.clean.list()[-self.config.max_train_shards:]
         frame_parts: list[np.ndarray] = []
         label_parts: list[np.ndarray] = []
         for name in names:
@@ -203,11 +184,11 @@ class IncrementalTrainer:
     ) -> ArraySplit:
         # Shuffle the uint8 frames before converting, so the window
         # exists as float32 only once.
-        rng = ensure_rng(seed_from_name(f"fleet-split-{round_no}", self.seed))
+        rng = ensure_rng(seed_from_name(f"fleet-split-{round_no}", self.config.seed))
         order = rng.permutation(len(frames))
         x = images_to_float(frames[order])
         y = labels[order].astype(np.float32)
-        n_val = max(1, int(len(x) * self.val_fraction))
+        n_val = max(1, int(len(x) * self.config.val_fraction))
         return ArraySplit(
             x_train=x[n_val:], y_train=y[n_val:], x_val=x[:n_val], y_val=y[:n_val]
         )
@@ -217,10 +198,10 @@ class IncrementalTrainer:
         if stable is not None:
             return self.registry.load(stable), stable
         model = create_model(
-            self.model_name,
+            self.config.model_name,
             input_shape=self.world.frame_shape,
-            scale=self.model_scale,
-            seed=seed_from_name("fleet-model-init", self.seed),
+            scale=self.config.model_scale,
+            seed=seed_from_name("fleet-model-init", self.config.seed),
         )
         return model, 0
 

@@ -55,16 +55,6 @@ class EdgeBackend:
             + SOFTWARE_OVERHEAD_S
         )
 
-    def batch_request_latency(self, rng: np.random.Generator, batch_size: int = 1) -> float:  # reprolint: disable=seed-ignored  (on-device latency is deterministic; rng kept for backend-interface parity)
-        """Latency for ``batch_size`` frames: serial compute, so batching
-        on the Pi amortises only the fixed software overhead."""
-        if batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-        return (
-            batch_size * self.device.inference_seconds(self.flops_per_frame)
-            + SOFTWARE_OVERHEAD_S
-        )
-
     @property
     def pipelined(self) -> bool:
         """The Pi runs inference synchronously: one request in flight."""
@@ -100,35 +90,6 @@ class CloudBackend:
         upload = 8.0 * FRAME_WIRE_BYTES / self.route.bottleneck_bps
         download = 8.0 * RESPONSE_WIRE_BYTES / self.route.bottleneck_bps
         return rtt + upload + download + self.compute_latency() + SOFTWARE_OVERHEAD_S
-
-    def batch_compute_latency(self, batch_size: int = 1) -> float:
-        """GPU-side inference time for a batch: per-frame compute scales,
-        the batch-formation wait is paid once."""
-        if batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-        return (
-            batch_size * self.flops_per_frame / self.gpu.effective_flops
-            + self.batch_queue_s
-        )
-
-    def batch_request_latency(
-        self, rng: np.random.Generator, batch_size: int = 1
-    ) -> float:
-        """End-to-end latency for ``batch_size`` frames shipped together."""
-        if batch_size < 1:
-            raise ConfigurationError(f"batch_size must be >= 1, got {batch_size}")
-        rtt = float(self.route.sample_rtt(rng)[0])
-        upload = 8.0 * batch_size * FRAME_WIRE_BYTES / self.route.bottleneck_bps
-        download = (
-            8.0 * batch_size * RESPONSE_WIRE_BYTES / self.route.bottleneck_bps
-        )
-        return (
-            rtt
-            + upload
-            + download
-            + self.batch_compute_latency(batch_size)
-            + SOFTWARE_OVERHEAD_S
-        )
 
     @property
     def pipelined(self) -> bool:

@@ -44,11 +44,7 @@ from itertools import product
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-
-try:  # BLAS with beta-accumulation: fuses the conv bias into the GEMM.
-    from scipy.linalg.blas import sgemm as _sgemm
-except ImportError:  # pragma: no cover - scipy is optional
-    _sgemm = None
+from scipy.linalg.blas import sgemm
 
 from repro.common.errors import PlanError, ShapeError
 from repro.common.rng import ensure_rng
@@ -103,13 +99,14 @@ def _activate_inplace(name: str, buf: np.ndarray) -> None:
 def _affine_gemm(cols2: np.ndarray, k2: np.ndarray, b: np.ndarray, out2: np.ndarray) -> None:
     """``out2 = cols2 @ k2 + b`` with the bias fused into the GEMM.
 
-    With scipy's BLAS the broadcast bias becomes the GEMM's ``beta=1``
-    accumulator (written via the F-contiguous transpose views), saving
-    one full pass over the output.  Falls back to matmul + add.
+    The broadcast bias becomes BLAS ``sgemm``'s ``beta=1`` accumulator
+    (written via the F-contiguous transpose views), saving one full pass
+    over the output.  An empty batch, which ``sgemm`` refuses, takes
+    matmul + add.
     """
-    if _sgemm is not None and len(cols2):
+    if len(cols2):
         out2[:] = b
-        _sgemm(1.0, k2.T, cols2.T, beta=1.0, c=out2.T, overwrite_c=1)
+        sgemm(1.0, k2.T, cols2.T, beta=1.0, c=out2.T, overwrite_c=1)
     else:
         np.matmul(cols2, k2, out=out2)
         out2 += b

@@ -53,15 +53,13 @@ def save_model_bytes(model: DonkeyModel) -> bytes:
     return buf.getvalue()
 
 
-def load_model_bytes(data: bytes, compile_plans: bool = False) -> DonkeyModel:
+def load_model_bytes(data: bytes) -> DonkeyModel:
     """Rebuild a model from :func:`save_model_bytes` output.
 
-    ``compile_plans=True`` additionally compiles the inference fast
-    path before returning (serve/fleet use this when pinning a
-    checkpoint to a replica, so the first request pays no compile
-    cost).  Plans are compiled from the *loaded* weights and share
-    parameter storage with them — identical outputs to a plan compiled
-    from the original network.
+    Its plans compile on first use, or when serving pins it to a
+    replica (``DonkeyModel.compile_plans``).  They are compiled from the
+    *loaded* weights and share parameter storage with them — identical
+    outputs to a plan compiled from the original network.
     """
     from repro.ml.models.factory import create_model  # cycle-free at call time
 
@@ -88,8 +86,6 @@ def load_model_bytes(data: bytes, compile_plans: bool = False) -> DonkeyModel:
     model = create_model(spec["model"], **kwargs)
     weights = [payload[f"w{i}"] for i in range(len(payload.files) - 1)]
     model.set_weights(weights)
-    if compile_plans:
-        model.compile_plans()
     return model
 
 
@@ -98,9 +94,9 @@ def save_model(model: DonkeyModel, path: str | Path) -> None:
     Path(path).write_bytes(save_model_bytes(model))
 
 
-def load_model(path: str | Path, compile_plans: bool = False) -> DonkeyModel:
+def load_model(path: str | Path) -> DonkeyModel:
     """Read a model payload from a file."""
     path = Path(path)
     if not path.exists():
         raise SerializationError(f"no such model file: {path}")
-    return load_model_bytes(path.read_bytes(), compile_plans=compile_plans)
+    return load_model_bytes(path.read_bytes())

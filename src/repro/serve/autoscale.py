@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.common.errors import ConfigurationError
+from repro.common.params import check_numbers
 from repro.serve.replica import ReplicaState
 from repro.testbed.provisioning import BARE_METAL_DEPLOY_S
 
@@ -33,7 +34,12 @@ _ALIVE_STATES = (
 
 @dataclass(frozen=True)
 class AutoscalePolicy:
-    """Watermarks and timing for the reactive scaling loop."""
+    """Watermarks and timing for the reactive scaling loop.
+
+    Each field is refused at construction unless finite, ``>= 0`` and,
+    for a replica count, whole (:func:`~repro.common.params.check_numbers`),
+    and in its range.
+    """
 
     min_replicas: int = 1
     max_replicas: int = 8
@@ -45,20 +51,25 @@ class AutoscalePolicy:
     cooldown_s: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.min_replicas < 1 or self.max_replicas < self.min_replicas:
+        check_numbers(self)
+        if self.min_replicas < 1:
             raise ConfigurationError(
-                f"need 1 <= min_replicas <= max_replicas, got "
-                f"{self.min_replicas}..{self.max_replicas}"
+                f"min_replicas must be >= 1, got {self.min_replicas}"
             )
-        if self.interval_s <= 0 or self.provision_delay_s < 0:
-            raise ConfigurationError("interval_s must be > 0, delay >= 0")
-        if self.queue_low < 0 or self.queue_high <= self.queue_low:
+        if self.max_replicas < self.min_replicas:
             raise ConfigurationError(
-                f"need 0 <= queue_low < queue_high, got "
-                f"{self.queue_low}..{self.queue_high}"
+                f"max_replicas must be >= min_replicas {self.min_replicas}, "
+                f"got {self.max_replicas}"
             )
-        if self.p95_target_s <= 0 or self.cooldown_s < 0:
-            raise ConfigurationError("p95_target_s must be > 0, cooldown >= 0")
+        if self.queue_high <= self.queue_low:
+            raise ConfigurationError(
+                f"queue_high must be > queue_low {self.queue_low}, "
+                f"got {self.queue_high}"
+            )
+        for name in ("interval_s", "p95_target_s"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ConfigurationError(f"{name} must be > 0, got {value}")
 
 
 class Autoscaler:

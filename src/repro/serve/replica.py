@@ -160,8 +160,6 @@ class Replica:
         self.state = ReplicaState.PROVISIONING
         self.busy = False
         self.inflight: tuple[Request, ...] = ()
-        self.batches = 0
-        self.served = 0
         self.ready_at = -1.0
         self.hung_until = -1.0
         self._rng = ensure_rng(rng)
@@ -253,7 +251,4 @@ class Replica:
         return 8.0 * wire_bytes / self._route_bps
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Replica({self.replica_id}, {self.state.value}, load={self.load}, "
-            f"served={self.served})"
-        )
+        return f"Replica({self.replica_id}, {self.state.value}, load={self.load})"

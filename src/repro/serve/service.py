@@ -610,7 +610,6 @@ class InferenceService:
             latency *= self.injector.latency_factor(replica.replica_id, now)
         replica.busy = True
         replica.inflight = tuple(batch)
-        replica.batches += 1
         if self.tracer.enabled:
             self._batch_spans[replica.replica_id] = self.tracer.start(
                 "serve.batch",
@@ -659,7 +658,6 @@ class InferenceService:
             self.tracer.end(batch_span)
         replica.busy = False
         replica.inflight = ()
-        replica.served += len(batch)
         breaker = self._breakers.get(replica.replica_id)
         if breaker is not None:
             if breaker.state is not BreakerState.CLOSED:
@@ -733,8 +731,7 @@ class InferenceService:
         elapsed = self.scheduler.clock.now - start
         slo = self.slo
         hist = slo.histogram
-        batches = sum(replica.batches for replica in self.replicas)
-        served = sum(replica.served for replica in self.replicas)
+        batches = self.metrics.count("serve.batches")
         return ServeSummary(
             router=self.router.name,
             batch_policy=self.batch_policy,
@@ -756,7 +753,7 @@ class InferenceService:
             max_ms=hist.max_s * 1e3,
             mean_ms=hist.mean_s * 1e3,
             batches=batches,
-            mean_batch=served / batches if batches else 0.0,
+            mean_batch=slo.completed / batches if batches else 0.0,
             replicas=len(self.replicas),
             scale_ups=autoscaler.scale_ups if autoscaler else 0,
             scale_downs=autoscaler.scale_downs if autoscaler else 0,

@@ -89,7 +89,8 @@ def test_bad_drive_number_names_the_param(key):
 
 
 #: One bad value per kind of numeric fleet param, top level and gates:
-#: NaN, infinite, negative, or a fraction where a count is due.
+#: NaN, infinite, negative, a fraction where a count is due, or out of
+#: the setting's range.
 BAD_FLEET_VALUES = [
     ("model_scale", float("nan")),
     ("learning_rate", float("nan")),
@@ -98,9 +99,12 @@ BAD_FLEET_VALUES = [
     ("data_window_s", float("nan")),
     ("data_window_s", float("inf")),
     ("epochs", -1),
+    ("stable_replicas", 0),
+    ("stage_dt", 0),
     ("gates.max_cte_m", float("nan")),
     ("gates.max_cte_regression_m", float("nan")),
     ("gates.min_completions", 2.5),
+    ("gates.max_deadline_miss", 1.5),
 ]
 
 
@@ -110,6 +114,17 @@ def test_bad_fleet_number_names_the_param(key, value):
     with pytest.raises(
         ConfigurationError,
         match=rf"'fleet-canary-chaos' params\.{re.escape(key)} must be",
+    ):
+        run_scenario(spec)
+
+
+@pytest.mark.parametrize(
+    ("key", "value"), [("min_replicas", 0), ("interval_s", float("nan"))]
+)
+def test_bad_autoscale_number_names_the_param(key, value):
+    spec = scenario_spec("serve-load").with_overrides({"autoscale": {key: value}})
+    with pytest.raises(
+        ConfigurationError, match=rf"'serve-load' params\.autoscale\.{key} must be"
     ):
         run_scenario(spec)
 

@@ -137,10 +137,14 @@ class TestAutoscalerReplacement:
         assert service.crashes == 1
         assert summary.scale_ups == autoscaler.scale_ups >= 1
         # The replacement is decided after the crash and provisioned
-        # one delay later; then batches dispatch onto it.
+        # one delay later; then it serves requests.
         replacement = service.replicas[1]
         assert replacement.ready_at >= 0.5 + policy.provision_delay_s
-        assert replacement.batches > 0
+        assert any(
+            request.replica_id == replacement.replica_id
+            and request.status is RequestStatus.COMPLETED
+            for request in service.requests
+        )
 
 
 def chaos_spec(**overrides) -> ScenarioSpec:

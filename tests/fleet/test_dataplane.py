@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from repro.common.clock import EventScheduler
-from repro.common.errors import FleetError
+from repro.common.errors import ConfigurationError
 from repro.common.rng import seed_from_name
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
+from repro.fleet.config import FleetConfig
 from repro.fleet.dataplane import (
     CLEAN_CONTAINER,
     RAW_CONTAINER,
@@ -28,22 +29,21 @@ def make_plane(store=None, scheduler=None, n_vehicles=3, seed=0):
     world = SyntheticTrackWorld(
         frame_hw=(8, 8), seed=seed_from_name("world", seed)
     )
-    plane = FleetDataPlane(
-        store,
-        world,
-        scheduler,
+    config = FleetConfig(
         n_vehicles=n_vehicles,
         flushes_per_round=2,
         records_per_flush=4,
+        data_window_s=2.0,
         seed=seed,
     )
+    plane = FleetDataPlane(store, world, scheduler, config)
     return plane, store, scheduler
 
 
 class TestCollect:
     def test_full_round_flushes_everything(self):
         plane, store, scheduler = make_plane()
-        report = plane.collect_round(1, window_s=2.0)
+        report = plane.collect_round(1)
         assert report.flushed_shards == 6
         assert report.flushed_records == 24
         assert report.failed_flushes == 0
@@ -53,9 +53,9 @@ class TestCollect:
     def test_vehicle_streams_independent_of_fleet_size(self):
         """veh-0000's shards are identical in a 1- and a 3-vehicle fleet."""
         small, store_a, _ = make_plane(n_vehicles=1)
-        small.collect_round(1, window_s=2.0)
+        small.collect_round(1)
         big, store_b, _ = make_plane(n_vehicles=3)
-        big.collect_round(1, window_s=2.0)
+        big.collect_round(1)
         names = store_a.container(RAW_CONTAINER).list()
         assert names  # the 1-vehicle fleet flushed something
         for name in names:
@@ -80,7 +80,7 @@ class TestCollect:
             ),
             clock=scheduler.clock,
         )
-        report = plane.collect_round(1, window_s=2.0)
+        report = plane.collect_round(1)
         assert report.failed_flushes > 0
         assert report.flushed_shards + report.failed_flushes == 6
 
@@ -88,7 +88,7 @@ class TestCollect:
 class TestIngest:
     def test_cleans_new_shards_once(self):
         plane, store, _ = make_plane()
-        plane.collect_round(1, window_s=2.0)
+        plane.collect_round(1)
         ingest = IngestStage(store)
         first = ingest.run(1)
         assert first.fresh_shards == 6
@@ -137,7 +137,7 @@ class TestIngest:
 
         monkeypatch.setattr(dataplane, "encode_shard", counting_encode)
         plane, store, _ = make_plane()
-        collect = plane.collect_round(1, window_s=2.0)
+        collect = plane.collect_round(1)
         report = IngestStage(store).run(1)
         assert report.fresh_shards == collect.flushed_shards == 6
         assert len(calls) == collect.flushed_shards
@@ -226,13 +226,8 @@ class TestCleanEquivalence:
 
 class TestValidation:
     def test_bad_parameters(self):
-        store = ObjectStore()
-        world = SyntheticTrackWorld(frame_hw=(8, 8), seed=0)
-        with pytest.raises(FleetError):
-            FleetDataPlane(
-                store, world, EventScheduler(),
-                n_vehicles=0, flushes_per_round=1, records_per_flush=1,
-            )
-        plane, _, _ = make_plane()
-        with pytest.raises(FleetError):
-            plane.collect_round(1, window_s=0.0)
+        """The config refuses an empty fleet and an empty window."""
+        with pytest.raises(ConfigurationError, match="n_vehicles must be >= 1"):
+            FleetConfig(n_vehicles=0)
+        with pytest.raises(ConfigurationError, match="data_window_s must be > 0"):
+            FleetConfig(data_window_s=0.0)

@@ -23,7 +23,7 @@ def make_trainer() -> tuple[IncrementalTrainer, SyntheticTrackWorld]:
     world = SyntheticTrackWorld(frame_hw=(24, 32), seed=0)
     trainer = IncrementalTrainer(
         store, ModelRegistry(TroviHub(), store), world, EventScheduler(),
-        eval_records=8, seed=SEED,
+        FleetConfig(eval_records=8, seed=SEED),
     )
     return trainer, world
 

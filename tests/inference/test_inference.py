@@ -123,42 +123,6 @@ class TestHybridBackend:
             self.make("ouija")
 
 
-class TestBatchLatency:
-    def test_edge_batches_serially(self):
-        backend = EdgeBackend(device(), SMALL_FLOPS)
-        rng = np.random.default_rng(0)
-        single = backend.batch_request_latency(rng, 1)
-        assert single == pytest.approx(backend.request_latency(rng))
-        eight = backend.batch_request_latency(rng, 8)
-        # Serial compute: the only amortisation is the software overhead.
-        per_frame = SMALL_FLOPS / RASPBERRY_PI_4.effective_flops
-        assert eight == pytest.approx(single + 7 * per_frame)
-
-    def test_cloud_batches_amortise_rtt(self):
-        backend = CloudBackend(GPU_SPECS["V100"], route(), SMALL_FLOPS)
-        rng = np.random.default_rng(0)
-        singles = np.mean([backend.batch_request_latency(rng, 1) for _ in range(50)])
-        batched = np.mean([backend.batch_request_latency(rng, 16) for _ in range(50)])
-        # One RTT for 16 frames beats 16 RTTs for 16 frames.
-        assert batched < 16 * singles / 3
-
-    def test_batch_compute_scales_linearly(self):
-        backend = CloudBackend(GPU_SPECS["V100"], route(), SMALL_FLOPS)
-        one = backend.batch_compute_latency(1) - backend.batch_queue_s
-        ten = backend.batch_compute_latency(10) - backend.batch_queue_s
-        assert ten == pytest.approx(10 * one)
-
-    def test_validation(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(ConfigurationError):
-            EdgeBackend(device(), SMALL_FLOPS).batch_request_latency(rng, 0)
-        cloud = CloudBackend(GPU_SPECS["V100"], route(), SMALL_FLOPS)
-        with pytest.raises(ConfigurationError):
-            cloud.batch_request_latency(rng, 0)
-        with pytest.raises(ConfigurationError):
-            cloud.batch_compute_latency(0)
-
-
 class TestServingStats:
     def test_fresh_response_ratio_is_dimensionless(self):
         from repro.inference.serving import ServingStats

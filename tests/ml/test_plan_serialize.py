@@ -32,8 +32,9 @@ def test_roundtrip_plan_matches_original_plan(name):
     original = create_model(name, input_shape=(24, 32, 3), scale=0.25)
     assert original.compile_plans()
 
-    restored = load_model_bytes(save_model_bytes(original), compile_plans=True)
-    # compile_plans=True pre-compiled every sub-network's inference plan.
+    restored = load_model_bytes(save_model_bytes(original))
+    assert restored.compile_plans()
+    # compile_plans() pre-compiled every sub-network's inference plan.
     for net in restored._networks():
         assert net._plan is not None
 
@@ -75,7 +76,9 @@ def test_warm_start_training_stays_bitwise_on_fast_path():
 
     results = []
     for use_plan in (True, False):
-        warm = load_model_bytes(checkpoint, compile_plans=use_plan)
+        warm = load_model_bytes(checkpoint)
+        if use_plan:
+            warm.compile_plans()
         trainer = Trainer(
             optimizer=Adam(),
             batch_size=4,

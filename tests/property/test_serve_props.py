@@ -74,13 +74,15 @@ class TestConservation:
         assert slo.offered == len(service.requests)
         assert slo.completed == by_status[RequestStatus.COMPLETED]
         assert slo.offered == slo.completed + slo.losses
-        # No double service: completed requests belong to exactly one batch.
+        # No double service: completed requests belong to exactly one
+        # batch, and with no faults every batch the registry counted
+        # completed.
         completed = [
             r for r in service.requests if r.status is RequestStatus.COMPLETED
         ]
         assert all(r.batch_id for r in completed)
-        served = sum(replica.served for replica in service.replicas)
-        assert served == len(completed)
+        batches = {r.batch_id for r in completed}
+        assert len(batches) == service.metrics.count("serve.batches")
 
     @SLOW_SETTINGS
     @given(**service_params)

@@ -79,7 +79,7 @@ class TestLifecycle:
         )
         service.run(PoissonWorkload(2000.0, seed=5), 1.0)
         sizes = [span.attrs["size"] for span in tracer.find("serve.batch")]
-        assert len(sizes) == service.replicas[0].batches
+        assert len(sizes) == service.metrics.count("serve.batches")
         assert max(sizes) <= 8
 
     def test_overload_sheds_with_shed_policy(self):
