@@ -103,14 +103,7 @@ def train_bench_model(name: str, tubs, seed: int = 3, epochs: int = 10):
     model = create_model(
         name, input_shape=(BENCH_H, BENCH_W, 3), scale=0.5, seed=seed, **kwargs
     )
-    if model.targets == "memory":
-        split = dataset.split_memory(model.mem_length, rng=2)
-    elif model.sequence_length > 0:
-        split = dataset.split(
-            rng=2, targets=model.targets, sequence_length=model.sequence_length
-        )
-    else:
-        split = dataset.split(rng=2, targets=model.targets, flip_augment=True)
+    split = dataset.split_for(model, rng=2, flip_augment=True)
     trainer = Trainer(
         batch_size=64, epochs=epochs,
         early_stopping=EarlyStopping(patience=3), shuffle_seed=2,

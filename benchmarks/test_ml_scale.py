@@ -7,11 +7,12 @@ reference layer stack on DonkeyModel backbones at the bench frame size
 * **forward** — batched (32) and single-frame, plan vs reference, plus
   the serving-relevant comparison: one compiled batched pass against
   32 serial reference forwards (what a replica would otherwise do);
-* **training** — the step ``Trainer`` runs, ``fast_forward(x,
-  training=True)`` + ``fast_backward``, vs the reference ``forward`` +
-  ``backward``, with the bitwise-equality guarantee re-checked on the
-  measured step.  The fast step skips the gradient with respect to the
-  images, which no trainer reads.
+* **training** — the step ``Trainer`` runs, the model's ``forward(x,
+  training=True)`` + ``backward``, vs the reference layer loop
+  ``model.net.forward`` + ``model.net.backward``, with the
+  bitwise-equality guarantee re-checked on the measured step.  The
+  plan step skips the gradient with respect to the images, which no
+  trainer reads.
 
 Acceptance (pinned at levels robust to a noisy shared box; quiet-box
 measurements are higher — see ROADMAP item 2 for the measured spread):
@@ -109,21 +110,21 @@ def _measure_train(name):
     y = rng.random((BATCH, 2), dtype=np.float32)
 
     def ref_step():
-        out = model.forward(x, training=True)
-        model.backward(out - y)
+        out = model.net.forward(x, training=True)
+        model.net.backward(out - y)
 
     def plan_step():
-        out = model.fast_forward(x, training=True)
-        model.fast_backward(out - y)
+        out = model.forward(x, training=True)
+        model.backward(out - y)
 
     # Bitwise re-check on the measured workload: identical forward and
     # identical gradients from the two paths (fresh dropout streams per
     # model, so compare two same-seed twins).
     twin = create_model(name, input_shape=(BENCH_H, BENCH_W, 3), scale=0.5, seed=3)
-    twin_out = twin.forward(x, training=True)
-    twin.backward(twin_out - y)
-    plan_out = model.fast_forward(x, training=True)
-    model.fast_backward(plan_out - y)
+    twin_out = twin.net.forward(x, training=True)
+    twin.net.backward(twin_out - y)
+    plan_out = model.forward(x, training=True)
+    model.backward(plan_out - y)
     assert np.array_equal(plan_out, twin_out)
     for ga, gb in zip(model.grads, twin.grads):
         assert np.array_equal(ga, gb)

@@ -32,13 +32,7 @@ H, W = 48, 64
 def train_entrant(name, tubs, seed):
     model = create_model(name, input_shape=(H, W, 3), scale=0.5, seed=seed)
     dataset = TubDataset(tubs)
-    if model.targets == "memory":
-        split = dataset.split_memory(model.mem_length, rng=seed)
-    elif model.sequence_length:
-        split = dataset.split(rng=seed, targets=model.targets,
-                              sequence_length=model.sequence_length)
-    else:
-        split = dataset.split(rng=seed, targets=model.targets, flip_augment=True)
+    split = dataset.split_for(model, rng=seed, flip_augment=True)
     Trainer(batch_size=64, epochs=6, early_stopping=EarlyStopping(patience=3),
             shuffle_seed=seed).fit(model, split)
     return model

@@ -270,14 +270,7 @@ def _cmd_train(args) -> int:
     model = create_model(
         args.model, input_shape=image.shape, scale=args.scale, seed=args.seed
     )
-    if model.targets == "memory":
-        split = dataset.split_memory(model.mem_length, rng=args.seed)
-    elif model.sequence_length > 0:
-        split = dataset.split(rng=args.seed, targets=model.targets,
-                              sequence_length=model.sequence_length)
-    else:
-        split = dataset.split(rng=args.seed, targets=model.targets,
-                              flip_augment=True)
+    split = dataset.split_for(model, rng=args.seed, flip_augment=True)
     history = Trainer(
         batch_size=64, epochs=args.epochs,
         early_stopping=EarlyStopping(patience=3), shuffle_seed=args.seed,

@@ -277,15 +277,7 @@ class AutoLearnPipeline:
             scale=self.model_scale,
             seed=self.seed,
         )
-        if model.targets == "memory":
-            split = dataset.split_memory(model.mem_length, rng=self.seed)
-        elif model.sequence_length > 0:
-            split = dataset.split(
-                rng=self.seed, targets=model.targets,
-                sequence_length=model.sequence_length,
-            )
-        else:
-            split = dataset.split(rng=self.seed, targets=model.targets)
+        split = dataset.split_for(model, rng=self.seed)
 
         trainer = Trainer(
             batch_size=64,

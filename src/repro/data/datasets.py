@@ -208,6 +208,28 @@ class TubDataset:
             y_val=y[val_idx],
         )
 
+    def split_for(
+        self,
+        model,
+        rng: int | np.random.Generator | None = None,
+        flip_augment: bool = False,
+    ) -> ArraySplit:
+        """The split ``model`` trains on, in its input and label layout.
+
+        The memory model gets :meth:`split_memory`, a sequence model
+        rolling windows of its ``sequence_length``, and any other model
+        single frames, mirrored too when ``flip_augment`` is set (only
+        single-frame models take it).
+        """
+        if model.targets == "memory":
+            return self.split_memory(model.mem_length, rng=rng)
+        if model.sequence_length > 0:
+            return self.split(
+                rng=rng, targets=model.targets,
+                sequence_length=model.sequence_length,
+            )
+        return self.split(rng=rng, targets=model.targets, flip_augment=flip_augment)
+
     def split_memory(
         self,
         mem_length: int = 3,

@@ -181,19 +181,15 @@ def run_drive(
     )
     ticks = number_param(params["ticks"], f"{where}.ticks", whole=True, positive=True)
     dt = number_param(params["dt"], f"{where}.dt", positive=True)
-    skill = number_param(params["skill"], f"{where}.skill")
-    noise_amp = number_param(params["steering_noise"], f"{where}.steering_noise")
+    noise_amp = params["steering_noise"]
     perception = params["perception"]
-    in_perception = f"{where}.perception"
     tracker = GreedyTracker(
-        noise_m=number_param(perception["noise_m"], f"{in_perception}.noise_m"),
-        dropout=number_param(perception["dropout"], f"{in_perception}.dropout"),
+        noise_m=perception["noise_m"],
+        dropout=perception["dropout"],
         gate_m=number_param(
-            perception["gate_m"], f"{in_perception}.gate_m", positive=True
+            perception["gate_m"], f"{where}.perception.gate_m", positive=True
         ),
-        max_coast=number_param(
-            perception["max_coast"], f"{in_perception}.max_coast", whole=True
-        ),
+        max_coast=perception["max_coast"],
         seed=seed_from_name("drive-perception", seed),
     )
     artifacts = DriveArtifacts(
@@ -201,9 +197,7 @@ def run_drive(
         n_vehicles=n_vehicles,
         ticks=ticks,
         dt=dt,
-        match_radius_m=number_param(
-            perception["match_radius_m"], f"{in_perception}.match_radius_m"
-        ),
+        match_radius_m=perception["match_radius_m"],
     )
 
     fleet = FleetSession(
@@ -212,7 +206,7 @@ def run_drive(
     expert = PurePursuitDriver(fleet)
     students = StudentDriver(
         expert,
-        skill=skill,
+        skill=params["skill"],
         rng=[
             seed_from_name(f"drive-skill-{index:04d}", seed)
             for index in range(n_vehicles)

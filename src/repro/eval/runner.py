@@ -13,10 +13,12 @@ know, at any nesting level, raises
 :class:`~repro.common.errors.ConfigurationError` before anything runs,
 so a misspelled key never silently runs the default.  So does a
 number that is NaN, infinite, negative, or a fraction where a count is
-due, or one out of its setting's range.  ``drive`` checks each param as
-it reads it; the ``fleet`` params and the ``autoscale`` group are
-checked by the config they build, and the runner prefixes its message
-with the spec, so each reads ``'<spec>' params.<key> ...``.
+due, or one out of its setting's range.  A table param is checked by
+:func:`~repro.eval.spec.resolve_params` against its default's type
+(``drive`` also refuses a zero where it needs a positive number); the
+``fleet`` params and the ``autoscale`` group are checked by the config
+they build, and the runner prefixes its message with the spec, so each
+reads ``'<spec>' params.<key> ...``.
 
 Every run records into its own
 :class:`~repro.obs.metrics.MetricsRegistry`.  ``instrument`` only picks
@@ -141,11 +143,11 @@ def _run_pipeline(
     pipeline = AutoLearnPipeline(
         pathway,
         work_dir,
-        n_records=int(params["n_records"]),
-        epochs=int(params["epochs"]),
+        n_records=params["n_records"],
+        epochs=params["epochs"],
         camera_hw=tuple(params["camera_hw"]),
-        model_scale=float(params["model_scale"]),
-        eval_ticks=int(params["eval_ticks"]),
+        model_scale=params["model_scale"],
+        eval_ticks=params["eval_ticks"],
         seed=seed,
         chameleon=chameleon,
         tracer=tracer,
@@ -172,15 +174,15 @@ def _make_workload(workload_params: dict, seed: int, frame_shape):
     shape = str(workload_params["shape"])
     if shape == "poisson":
         return PoissonWorkload(
-            float(workload_params["rate_hz"]),
-            deadline_s=float(workload_params["deadline_s"]),
+            workload_params["rate_hz"],
+            deadline_s=workload_params["deadline_s"],
             seed=seed,
             frame_shape=frame_shape,
         )
     if shape == "vehicles":
         return VehicleFleetWorkload(
-            int(workload_params["n_vehicles"]),
-            deadline_ticks=int(workload_params["deadline_ticks"]),
+            workload_params["n_vehicles"],
+            deadline_ticks=workload_params["deadline_ticks"],
             seed=seed,
             frame_shape=frame_shape,
         )
@@ -211,7 +213,7 @@ def _run_serve(spec: ScenarioSpec, seed: int, instrument: bool) -> ScenarioRun:
     except NoSuchResourceError as exc:
         raise ConfigurationError(f"{where}.service: {exc.args[0]}") from None
     latency_model = BatchLatencyModel.from_gpu(
-        gpu, flops_per_frame=float(service_params["flops_per_frame"])
+        gpu, flops_per_frame=service_params["flops_per_frame"]
     )
     model = frame_shape = None
     if service_params["model"] != "none":
@@ -226,12 +228,12 @@ def _run_serve(spec: ScenarioSpec, seed: int, instrument: bool) -> ScenarioRun:
         latency_model,
         scheduler=scheduler,
         model=model,
-        n_replicas=int(service_params["replicas"]),
+        n_replicas=service_params["replicas"],
         router=str(service_params["router"]),
         batch_policy=str(service_params["batch_policy"]),
-        max_batch=int(service_params["max_batch"]),
-        max_wait_s=float(service_params["max_wait_s"]),
-        queue_capacity=int(service_params["queue_capacity"]),
+        max_batch=service_params["max_batch"],
+        max_wait_s=service_params["max_wait_s"],
+        queue_capacity=service_params["queue_capacity"],
         queue_policy=str(service_params["queue_policy"]),
         route=net_route(str(params["net"])),
         seed=seed,
@@ -246,7 +248,7 @@ def _run_serve(spec: ScenarioSpec, seed: int, instrument: bool) -> ScenarioRun:
         policy = _build(AutoscalePolicy, params["autoscale"], f"{where}.autoscale")
         autoscaler = Autoscaler(service, policy)
     summary = service.run(
-        workload, float(params["duration_s"]), autoscaler=autoscaler
+        workload, params["duration_s"], autoscaler=autoscaler
     )
     tracer.close_all()
     return ScenarioRun(

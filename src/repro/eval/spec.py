@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.common.errors import ConfigurationError
+from repro.common.params import number_param
 
 __all__ = [
     "SCENARIO_KINDS",
@@ -94,7 +95,10 @@ def resolve_params(
 
     ``table`` maps every known name to its default; a dict default is a
     nested group, resolved the same way.  A name the table lacks, at any
-    depth, raises :class:`ConfigurationError` naming where it sits.
+    depth, raises :class:`ConfigurationError` naming where it sits.  A
+    value whose default is an int or a float goes through
+    :func:`~repro.common.params.number_param`, the rule config fields
+    follow: an int default makes it a whole count.
     """
     check_keys(params, table, where)
     resolved = {}
@@ -102,6 +106,10 @@ def resolve_params(
         value = params.get(name, default)
         if isinstance(default, dict):
             value = resolve_params(value, default, f"{where}.{name}")
+        elif type(default) in (int, float):
+            value = number_param(
+                value, f"{where}.{name}", whole=type(default) is int
+            )
         resolved[name] = value
     return resolved
 

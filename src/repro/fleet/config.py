@@ -15,6 +15,7 @@ from repro.common.params import check_numbers
 from repro.common.rng import DEFAULT_SEED
 from repro.faults.plan import FaultPlan
 from repro.fleet.gates import GateThresholds
+from repro.fleet.world import frame_hw_param
 
 __all__ = ["FleetConfig"]
 
@@ -57,7 +58,9 @@ class FleetConfig:
     This is the only declaration and the only check of each setting:
     the data plane, trainer and rollout read it, and every int or float
     field is refused at construction unless finite, ``>= 0`` and, for a
-    count, whole (:func:`~repro.common.params.check_numbers`).
+    count, whole (:func:`~repro.common.params.check_numbers`), as is a
+    ``frame_hw`` that is not two whole numbers ``>= 5``
+    (:func:`~repro.fleet.world.frame_hw_param`, the world's own check).
     """
 
     # ------------------------------------------------------- data plane
@@ -97,6 +100,7 @@ class FleetConfig:
 
     def __post_init__(self) -> None:
         check_numbers(self)
+        object.__setattr__(self, "frame_hw", frame_hw_param(self.frame_hw))
         for name in _COUNTS:
             value = getattr(self, name)
             if value < 1:
@@ -120,11 +124,6 @@ class FleetConfig:
                     f"canary_fault_plans holds round {round_no}, "
                     f"outside 1..{self.rounds}"
                 )
-
-    @property
-    def records_per_round(self) -> int:
-        """Records the whole fleet flushes in one collection round."""
-        return self.n_vehicles * self.flushes_per_round * self.records_per_flush
 
     def canary_plan_for(self, round_no: int) -> FaultPlan | None:
         """The stage-relative canary fault plan for ``round_no``."""

@@ -32,12 +32,33 @@ import numpy as np
 from repro.common.errors import ConfigurationError
 from repro.common.rng import ensure_rng
 
-__all__ = ["SyntheticTrackWorld"]
+__all__ = ["SyntheticTrackWorld", "frame_hw_param"]
 
 #: Float64 values one broadcast of the pixel arithmetic holds: a chunk is
 #: as many whole cars as fit, and at least one.  A whole-wave broadcast
 #: of large frames falls out of cache and runs slower than chunks.
 _CHUNK_VALUES = 1 << 16
+
+
+def frame_hw_param(value) -> tuple[int, int]:
+    """``value`` as a frame size ``(H, W)``, refused unless two whole
+    numbers ``>= 5`` (the smallest frame a model backbone takes)."""
+    if not (
+        isinstance(value, (tuple, list))
+        and len(value) == 2
+        and all(
+            isinstance(side, (int, float))
+            and not isinstance(side, bool)
+            and math.isfinite(side)
+            and side == int(side)
+            and side >= 5
+            for side in value
+        )
+    ):
+        raise ConfigurationError(
+            f"frame_hw must be two whole numbers >= 5, got {value!r}"
+        )
+    return int(value[0]), int(value[1])
 
 
 class SyntheticTrackWorld:
@@ -51,13 +72,7 @@ class SyntheticTrackWorld:
         k_offset: float = 0.9,
         k_curv: float = 0.35,
     ) -> None:
-        if len(frame_hw) != 2 or not all(
-            math.isfinite(side) and side == int(side) and side >= 5
-            for side in frame_hw
-        ):
-            raise ConfigurationError(
-                f"frame_hw must be (H, W) with whole H, W >= 5, got {frame_hw}"
-            )
+        h, w = frame_hw_param(frame_hw)
         if not (math.isfinite(noise) and noise >= 0):
             raise ConfigurationError(f"noise must be finite and >= 0, got {noise}")
         if not (math.isfinite(k_offset) and math.isfinite(k_curv)):
@@ -65,7 +80,6 @@ class SyntheticTrackWorld:
                 f"k_offset and k_curv must be finite, got {k_offset}, {k_curv}"
             )
         rng = ensure_rng(seed)
-        h, w = int(frame_hw[0]), int(frame_hw[1])
         self.frame_hw = (h, w)
         self.noise = float(noise)
         self.k_offset = float(k_offset)

@@ -15,11 +15,11 @@ All tensors are float32, batch-first, channels-last (Keras layout).
 
 This stack is the *reference* implementation: clear, allocation-happy,
 one Python call per layer.  :mod:`repro.ml.plan` compiles a built stack
-into a fast path (im2col GEMM convs, preallocated buffers); its
-training kernels compute every value they return with this module's
-per-element operations in this module's order, gathering the operands
-with fewer numpy calls, pinned bitwise by the parity suite in
-``tests/ml/test_plan_parity.py``.
+into the plans every model runs (im2col GEMM convs, preallocated
+buffers); their training kernels compute every value they return with
+this module's per-element operations in this module's order, gathering
+the operands with fewer numpy calls, pinned bitwise by the parity suite
+in ``tests/ml/test_plan_parity.py``.
 """
 
 from __future__ import annotations

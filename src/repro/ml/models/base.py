@@ -18,7 +18,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.common.errors import PlanError, ShapeError
+from repro.common.errors import ShapeError
 from repro.data.datasets import images_to_float
 from repro.ml.layers import Conv2D, Dropout, Flatten
 from repro.ml.losses import get_loss
@@ -96,21 +96,51 @@ class DonkeyModel:
 
     # ------------------------------------------------ training surface
 
+    def _networks(self) -> list[Sequential]:
+        """Every ``Sequential`` this model owns, in attribute order.
+
+        That order is the parameter order of :attr:`params`,
+        :attr:`grads` and so of every checkpoint.
+        """
+        return [v for v in self.__dict__.values() if isinstance(v, Sequential)]
+
+    @staticmethod
+    def _pass(net: Sequential, x, training: bool) -> np.ndarray:
+        """``net``'s training plan forward, or its inference plan."""
+        return net.training_plan().forward(x) if training else net.plan().run(x)
+
     def forward(self, x, training: bool = False) -> np.ndarray:
-        """Training-time forward pass (x layout is model-specific)."""
-        raise NotImplementedError
+        """One pass through the compiled plans (x layout is model-specific).
+
+        ``training=True`` runs each network's training plan (dropout
+        on, activations kept for :meth:`backward`) and matches the layer
+        loop, ``Sequential.forward``, bit for bit; ``training=False``
+        runs the inference plans (allclose at float32 tolerances).  The
+        result may be a plan-owned buffer, valid until the next pass at
+        that batch size: copy it to keep it.  Models that compose
+        several networks override this pair.
+        """
+        return self._pass(self.net, x, training)
 
     def backward(self, grad: np.ndarray) -> None:
-        """Backpropagate the loss gradient through the model."""
-        raise NotImplementedError
+        """Backpropagate the loss gradient of the last training pass.
+
+        Must follow ``forward(x, training=True)``.  Fills every layer
+        gradient in :attr:`grads`, which the next backward overwrites.
+        Nothing reads the gradient with respect to the images, so the
+        network that sees them is asked not to compute it.
+        """
+        self.net.training_plan().backward(grad, input_grad=False)
 
     @property
     def params(self) -> list[np.ndarray]:
-        raise NotImplementedError
+        """Trainable parameters of every network, in :meth:`_networks` order."""
+        return [p for net in self._networks() for p in net.params]
 
     @property
     def grads(self) -> list[np.ndarray]:
-        raise NotImplementedError
+        """Gradients aligned with :attr:`params`."""
+        return [g for net in self._networks() for g in net.grads]
 
     @property
     def n_params(self) -> int:
@@ -120,11 +150,8 @@ class DonkeyModel:
     loss_name: str = "mse"
 
     def flops_per_sample(self) -> float:
-        """Forward-pass FLOPs per training sample (exact, per layer)."""
-        net = getattr(self, "net", None)
-        if net is not None:
-            return net.flops_per_sample()
-        raise NotImplementedError
+        """Forward-pass FLOPs per sample, summed over every network."""
+        return sum(net.flops_per_sample() for net in self._networks())
 
     def compute_loss(self, pred: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
         """(loss value, gradient w.r.t. predictions)."""
@@ -146,62 +173,14 @@ class DonkeyModel:
                 raise ShapeError(f"shape mismatch: {param.shape} vs {weight.shape}")
             param[...] = np.asarray(weight, dtype=param.dtype)
 
-    # ---------------------------------------------- compiled fast path
+    def compile_plans(self) -> None:
+        """Compile every network's inference plan ahead of time.
 
-    def _networks(self) -> list[Sequential]:
-        """Every ``Sequential`` this model owns (attribute order)."""
-        return [v for v in self.__dict__.values() if isinstance(v, Sequential)]
-
-    def compile_plans(self, training: bool = False) -> bool:
-        """Compile execution plans for every sub-network ahead of time.
-
-        Returns ``True`` when the whole model runs on the compiled fast
-        path, ``False`` when any stack holds a layer without a compiled
-        kernel (callers then stay on the reference layers).  Serving
-        calls this when a model is pinned to a replica so the first
-        request pays no compile/alloc cost.
+        Serving calls this when a model is pinned to a replica, so the
+        first request pays no compile cost.
         """
-        nets = self._networks()
-        try:
-            for net in nets:
-                net.plan()
-                if training:
-                    net.training_plan()
-        except PlanError:
-            return False
-        return bool(nets)
-
-    def supports_fast_path(self) -> bool:
-        """True when training can run through the compiled plans."""
-        return self.compile_plans(training=True)
-
-    def fast_forward(self, x, training: bool = False) -> np.ndarray:
-        """Compiled forward pass (single-backbone default).
-
-        ``training=True`` runs the training plan — dropout on,
-        activations cached for :meth:`fast_backward` — and matches the
-        reference ``forward`` bit for bit; ``training=False`` runs the
-        inference plan (allclose at float32 tolerances).  Models that
-        compose several networks override this pair.
-        """
-        net = getattr(self, "net", None)
-        if net is None:
-            raise PlanError(f"{type(self).__name__} does not define a fast path")
-        if training:
-            return net.training_plan().forward(x)
-        return net.plan().run(x)
-
-    def fast_backward(self, grad: np.ndarray) -> None:
-        """Backprop through the cached ``fast_forward(training=True)``.
-
-        Fills every layer gradient.  Nothing reads the gradient with
-        respect to the images, so the network that sees them is asked
-        not to compute it.
-        """
-        net = getattr(self, "net", None)
-        if net is None:
-            raise PlanError(f"{type(self).__name__} does not define a fast path")
-        net.training_plan().backward(grad, input_grad=False)
+        for net in self._networks():
+            net.plan()
 
     # ---------------------------------------------- evaluation surface
 

@@ -56,9 +56,9 @@ class CategoricalModel(DonkeyModel):
     # ------------------------------------------------------------ pass
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        feat = self.trunk.forward(x, training)
-        probs = self.angle_head.forward(feat, training)
-        throttle = self.throttle_head.forward(feat, training)
+        feat = self._pass(self.trunk, x, training)
+        probs = self._pass(self.angle_head, feat, training)
+        throttle = self._pass(self.throttle_head, feat, training)
         return np.concatenate([probs, throttle], axis=1)
 
     def compute_loss(self, pred: np.ndarray, y: np.ndarray) -> tuple[float, np.ndarray]:
@@ -75,43 +75,11 @@ class CategoricalModel(DonkeyModel):
         return ce_val + self.throttle_weight * t_val, grad.astype(np.float32)
 
     def backward(self, grad: np.ndarray) -> None:
-        g_angle = self.angle_head.backward(grad[:, :N_STEERING_BINS])
-        g_throttle = self.throttle_head.backward(grad[:, N_STEERING_BINS:])
-        self.trunk.backward(g_angle + g_throttle)
-
-    def fast_forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if training:
-            feat = self.trunk.training_plan().forward(x)
-            probs = self.angle_head.training_plan().forward(feat)
-            throttle = self.throttle_head.training_plan().forward(feat)
-        else:
-            feat = self.trunk.plan().run(x)
-            probs = self.angle_head.plan().run(feat)
-            throttle = self.throttle_head.plan().run(feat)
-        return np.concatenate([probs, throttle], axis=1)
-
-    def fast_backward(self, grad: np.ndarray) -> None:
         g_angle = self.angle_head.training_plan().backward(grad[:, :N_STEERING_BINS])
         g_throttle = self.throttle_head.training_plan().backward(
             grad[:, N_STEERING_BINS:]
         )
         self.trunk.training_plan().backward(g_angle + g_throttle, input_grad=False)
-
-    @property
-    def params(self) -> list[np.ndarray]:
-        return self.trunk.params + self.angle_head.params + self.throttle_head.params
-
-    @property
-    def grads(self) -> list[np.ndarray]:
-        return self.trunk.grads + self.angle_head.grads + self.throttle_head.grads
-
-    def flops_per_sample(self) -> float:
-        """Trunk plus both heads."""
-        return (
-            self.trunk.flops_per_sample()
-            + self.angle_head.flops_per_sample()
-            + self.throttle_head.flops_per_sample()
-        )
 
     # ------------------------------------------------------- inference
 

@@ -59,20 +59,6 @@ class InferredModel(DonkeyModel):
         ]
         self.net = Sequential(layers, input_shape, seed=seed)
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        return self.net.forward(x, training)
-
-    def backward(self, grad: np.ndarray) -> None:
-        self.net.backward(grad)
-
-    @property
-    def params(self) -> list[np.ndarray]:
-        return self.net.params
-
-    @property
-    def grads(self) -> list[np.ndarray]:
-        return self.net.grads
-
     def infer_throttle(self, angle: np.ndarray) -> np.ndarray:
         """Throttle rule: fast when straight, slower when turning."""
         return self.max_throttle - np.abs(angle) * (

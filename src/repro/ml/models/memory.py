@@ -65,28 +65,11 @@ class MemoryModel(DonkeyModel):
         self, x: tuple[np.ndarray, np.ndarray], training: bool = False
     ) -> np.ndarray:
         images, history = self._unpack(x)
-        feat = self.trunk.forward(images, training)
+        feat = self._pass(self.trunk, images, training)
         joined = np.concatenate([feat, history.reshape(len(history), -1)], axis=1)
-        return self.head.forward(joined, training)
+        return self._pass(self.head, joined, training)
 
     def backward(self, grad: np.ndarray) -> None:
-        g_joined = self.head.backward(grad)
-        self.trunk.backward(g_joined[:, : self._feat_dim])
-
-    def fast_forward(
-        self, x: tuple[np.ndarray, np.ndarray], training: bool = False
-    ) -> np.ndarray:
-        images, history = self._unpack(x)
-        if training:
-            feat = self.trunk.training_plan().forward(images)
-        else:
-            feat = self.trunk.plan().run(images)
-        joined = np.concatenate([feat, history.reshape(len(history), -1)], axis=1)
-        if training:
-            return self.head.training_plan().forward(joined)
-        return self.head.plan().run(joined)
-
-    def fast_backward(self, grad: np.ndarray) -> None:
         g_joined = self.head.training_plan().backward(grad)
         self.trunk.training_plan().backward(
             g_joined[:, : self._feat_dim], input_grad=False
@@ -106,18 +89,6 @@ class MemoryModel(DonkeyModel):
                 f"got shape {history.shape}"
             )
         return images, history
-
-    @property
-    def params(self) -> list[np.ndarray]:
-        return self.trunk.params + self.head.params
-
-    @property
-    def grads(self) -> list[np.ndarray]:
-        return self.trunk.grads + self.head.grads
-
-    def flops_per_sample(self) -> float:
-        """Trunk plus head (history concat is free)."""
-        return self.trunk.flops_per_sample() + self.head.flops_per_sample()
 
     # ------------------------------------------------------- inference
 

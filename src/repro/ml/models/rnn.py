@@ -61,20 +61,6 @@ class RNNModel(DonkeyModel):
             layers, (self.sequence_length, *input_shape), seed=seed
         )
 
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        return self.net.forward(x, training)
-
-    def backward(self, grad: np.ndarray) -> None:
-        self.net.backward(grad)
-
-    @property
-    def params(self) -> list[np.ndarray]:
-        return self.net.params
-
-    @property
-    def grads(self) -> list[np.ndarray]:
-        return self.net.grads
-
     def predict_batch(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         out = self.net.predict(x, batch_size=32)
         return np.clip(out[:, 0], -1, 1), np.clip(out[:, 1], -1, 1)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.common.errors import PlanError, ShapeError
+from repro.common.errors import ShapeError
 from repro.common.rng import ensure_rng
 from repro.ml.layers import Layer
 from repro.ml.plan import InferencePlan, TrainingPlan
@@ -43,14 +43,14 @@ class Sequential:
     # ------------------------------------------------------------ plans
 
     def plan(self) -> InferencePlan:
-        """Compiled inference fast path (cached; raises ``PlanError``
-        when the stack contains a layer without a compiled kernel)."""
+        """Compiled inference plan (cached; raises ``PlanError`` when
+        the stack contains a layer without a compiled kernel)."""
         if self._plan is None:
             self._plan = InferencePlan(self.layers, self.input_shape)
         return self._plan
 
     def training_plan(self) -> TrainingPlan:
-        """Compiled training fast path (cached, reference-exact math)."""
+        """Compiled training plan (cached, reference-exact math)."""
         if self._training_plan is None:
             self._training_plan = TrainingPlan(self.layers, self.input_shape)
         return self._training_plan
@@ -78,18 +78,10 @@ class Sequential:
     def predict(self, x: np.ndarray, batch_size: int = 128) -> np.ndarray:
         """Inference in mini-batches (no dropout, bounded memory).
 
-        Runs through the compiled :meth:`plan` when the stack supports
-        it (falling back to the reference layers otherwise) and always
-        returns a fresh array the caller owns.
+        Runs through the compiled :meth:`plan` and returns a fresh
+        array the caller owns.
         """
-        try:
-            plan = self.plan()
-        except PlanError:
-            outputs = [
-                self.forward(x[lo : lo + batch_size], training=False)
-                for lo in range(0, len(x), batch_size)
-            ]
-            return np.concatenate(outputs) if len(outputs) > 1 else outputs[0]
+        plan = self.plan()
         n = len(x)
         result = np.empty((n, *self.output_shape), dtype=np.float32)
         for lo in range(0, n, batch_size):

@@ -29,8 +29,7 @@ step programs that run a whole pass with minimal Python dispatch:
 Plans hold *views* of the layer parameters, so in-place weight updates
 (``Sequential.set_weights``, optimizer steps) are visible without
 recompiling.  Compiling a stack that contains an unsupported (custom)
-layer type raises :class:`~repro.common.errors.PlanError`; callers fall
-back to the reference stack.
+layer type raises :class:`~repro.common.errors.PlanError`.
 
 Arrays returned by ``run``/``forward``/``backward`` are workspace
 buffers owned by the plan: they are overwritten by the next call at the
@@ -930,10 +929,7 @@ def _compile_layer(layer: Layer, in_shape: tuple[int, ...]) -> _Step:
     elif isinstance(layer, Activation):
         step = _ActivationStep(layer)
     else:
-        raise PlanError(
-            f"no compiled kernel for layer type {type(layer).__name__}; "
-            "use the reference Sequential stack"
-        )
+        raise PlanError(f"no compiled kernel for layer type {type(layer).__name__}")
     step.in_shape = in_shape
     step.out_shape = layer.output_shape(in_shape)
     return step

@@ -37,13 +37,7 @@ def estimate_flops_per_sample(model: DonkeyModel) -> float:
     standard 3x rule (1 forward + 2 backward passes of equivalent
     cost).  Feeds the testbed GPU cost model (experiment E2).
     """
-    try:
-        forward = model.flops_per_sample()
-    except NotImplementedError:
-        h, w, _ = model.input_shape
-        spatial_reuse = max(1.0, (h * w) / 256.0)
-        forward = 2.0 * model.n_params * spatial_reuse
-    return 3.0 * forward
+    return 3.0 * model.flops_per_sample()
 
 
 @dataclass
@@ -96,7 +90,6 @@ class Trainer:
         restore_best_weights: bool = True,
         shuffle_seed: int | np.random.Generator | None = None,
         verbose: bool = False,
-        use_plan: bool = True,
     ) -> None:
         if batch_size <= 0 or epochs <= 0:
             raise MLError("batch_size and epochs must be positive")
@@ -107,10 +100,6 @@ class Trainer:
         self.restore_best_weights = restore_best_weights
         self._rng = ensure_rng(shuffle_seed)
         self.verbose = verbose
-        # Train through the compiled plans when the model supports them.
-        # The training fast path mirrors the reference math bit for bit
-        # (tests/ml/test_plan_parity.py), so this only changes speed.
-        self.use_plan = bool(use_plan)
 
     # ------------------------------------------------------------- fit
 
@@ -118,11 +107,8 @@ class Trainer:
         """Train; returns the history (best weights restored if asked)."""
         history = History()
         best_weights: list[np.ndarray] | None = None
-        fast = self.use_plan and model.supports_fast_path()
         for _epoch in range(self.epochs):
-            train_loss = self._run_epoch(
-                model, split.x_train, split.y_train, fast=fast
-            )
+            train_loss = self._run_epoch(model, split.x_train, split.y_train)
             val_loss = self.evaluate(model, split.x_val, split.y_val)
             history.train_loss.append(train_loss)
             history.val_loss.append(val_loss)
@@ -146,19 +132,12 @@ class Trainer:
             model.set_weights(best_weights)
         return history
 
-    def _run_epoch(
-        self, model: DonkeyModel, x, y: np.ndarray, fast: bool = False
-    ) -> float:
+    def _run_epoch(self, model: DonkeyModel, x, y: np.ndarray) -> float:
         total, count = 0.0, 0
         for xb, yb in TubDataset.batches(x, y, self.batch_size, rng=self._rng):
-            if fast:
-                pred = model.fast_forward(xb, training=True)
-                loss, grad = model.compute_loss(pred, yb)
-                model.fast_backward(grad)
-            else:
-                pred = model.forward(xb, training=True)
-                loss, grad = model.compute_loss(pred, yb)
-                model.backward(grad)
+            pred = model.forward(xb, training=True)
+            loss, grad = model.compute_loss(pred, yb)
+            model.backward(grad)
             self.optimizer.step(model.params, model.grads)
             n = len(yb)
             total += loss * n
@@ -171,15 +150,11 @@ class Trainer:
 
     def evaluate(self, model: DonkeyModel, x, y: np.ndarray) -> float:
         """Mean loss over a dataset (inference mode)."""
-        fast = self.use_plan and model.compile_plans()
         total, count = 0.0, 0
         for xb, yb in TubDataset.batches(
             x, y, self.batch_size, shuffle=False
         ):
-            if fast:
-                pred = model.fast_forward(xb, training=False)
-            else:
-                pred = model.forward(xb, training=False)
+            pred = model.forward(xb, training=False)
             loss, _ = model.compute_loss(pred, yb)
             n = len(yb)
             total += loss * n

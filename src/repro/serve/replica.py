@@ -153,8 +153,7 @@ class Replica:
         # label traffic-split and pinned requests match against.  The
         # service warm-compiles a pinned model's execution plans
         # (``DonkeyModel.compile_plans``) before the replica goes live,
-        # so ``predict_frames`` runs the compiled fast path from the
-        # first batch.
+        # so its first batch pays no compile cost.
         self.model = model
         self.model_version = model_version
         self.state = ReplicaState.PROVISIONING

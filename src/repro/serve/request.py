@@ -90,13 +90,6 @@ class Request:
         return self.completed_s - self.arrival_s
 
     @property
-    def queue_wait_s(self) -> float:
-        """Time spent queued before dispatch, -1 if never dispatched."""
-        if self.dispatched_s < 0 or self.admitted_s < 0:
-            return -1.0
-        return self.dispatched_s - self.admitted_s
-
-    @property
     def met_deadline(self) -> bool:
         """Completed at or before the absolute deadline."""
         return (

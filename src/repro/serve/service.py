@@ -150,7 +150,7 @@ class InferenceService:
         self.model_version = model_version
         # Warm-compile the pinned model's execution plans at pin time so
         # the first request never pays compile/alloc cost mid-batch.
-        if model is not None and hasattr(model, "compile_plans"):
+        if model is not None:
             model.compile_plans()
         self.router = router if isinstance(router, Router) else make_router(router)
         self.batch_policy = batch_policy
@@ -213,7 +213,7 @@ class InferenceService:
     def _new_replica(
         self, model=None, model_version: str | None = None
     ) -> Replica:
-        if model is not None and hasattr(model, "compile_plans"):
+        if model is not None:
             model.compile_plans()
         replica_id = self._ids.next("replica")
         # Seeding by name (not by creation order relative to other draws)

@@ -39,3 +39,10 @@ def test_the_checked_number_is_stored():
 
 def test_seed_takes_any_int():
     assert FleetConfig(seed=-7).seed == -7
+
+
+def test_frame_hw_is_two_whole_numbers_of_at_least_five():
+    for value in ("ab", [0, 24], (16,), [16.5, 24], [16, math.nan], [True, 24]):
+        with pytest.raises(ConfigurationError, match=r"^frame_hw must be"):
+            FleetConfig(frame_hw=value)
+    assert FleetConfig(frame_hw=[5, 24.0]).frame_hw == (5, 24)

@@ -7,6 +7,8 @@ artefacts (a recorded tub, a trained model) across the whole run.
 
 from __future__ import annotations
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from repro.core.drivers import PurePursuitDriver, StudentDriver
 from repro.data.records import DriveRecord
 from repro.data.tub import Tub
 from repro.faults import FaultInjector, FaultPlan, FaultSpec
+from repro.ml.network import Sequential
 from repro.serve.replica import BatchLatencyModel
 from repro.serve.service import InferenceService
 from repro.sim.renderer import CameraParams
@@ -93,6 +96,48 @@ def make_records(n: int, seed: int = 0, h: int = TEST_H, w: int = TEST_W):
             )
         )
     return records
+
+
+class _LayerLoop:
+    """Both compiled plans of one ``Sequential``, run on its layers.
+
+    ``run`` and ``forward``/``backward`` call ``Sequential.forward`` and
+    ``Sequential.backward``, the reference layer loop the plans are
+    checked against.
+    """
+
+    def __init__(self, net: Sequential) -> None:
+        self.net = net
+
+    def run(self, x):
+        return self.net.forward(x, training=False)
+
+    def forward(self, x):
+        return self.net.forward(x, training=True)
+
+    def backward(self, grad, input_grad=True):
+        dx = self.net.backward(grad)
+        return dx if input_grad else None
+
+
+@pytest.fixture()
+def layer_loop():
+    """Context manager: inside it, every model pass runs the layer loop.
+
+    It patches ``Sequential.plan`` and ``Sequential.training_plan``, so
+    ``DonkeyModel.forward``/``backward``, ``predict`` and ``Trainer``
+    take the reference layers: the side every parity check compares
+    the compiled plans with.
+    """
+
+    @contextlib.contextmanager
+    def active():
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(Sequential, "plan", lambda net: _LayerLoop(net))
+            patch.setattr(Sequential, "training_plan", lambda net: _LayerLoop(net))
+            yield
+
+    return active
 
 
 @pytest.fixture()

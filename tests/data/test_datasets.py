@@ -141,6 +141,26 @@ class TestSplits:
         total = len(split.y_train) + len(split.y_val)
         assert total == 20 - 3
 
+    @pytest.mark.parametrize("name", ["linear", "categorical", "memory", "rnn"])
+    def test_split_for_matches_the_model_layout(self, tub_factory, name):
+        from repro.ml import create_model
+
+        dataset = TubDataset(tub_factory(n_records=20))
+        model = create_model(name, input_shape=(40, 56, 3), scale=0.25)
+        split = dataset.split_for(model, rng=0, flip_augment=True)
+        if name == "memory":
+            want = dataset.split_memory(model.mem_length, rng=0)
+            pairs = list(zip(split.x_train, want.x_train))
+        elif name == "rnn":  # flip_augment is single-frame only
+            want = dataset.split(rng=0, sequence_length=model.sequence_length)
+            pairs = [(split.x_train, want.x_train)]
+        else:
+            want = dataset.split(rng=0, targets=model.targets, flip_augment=True)
+            pairs = [(split.x_train, want.x_train)]
+        pairs.append((split.y_train, want.y_train))
+        for got, expected in pairs:
+            assert np.array_equal(got, expected)
+
     def test_memory_history_matches_labels(self, tub_factory):
         # History at window t must equal the labels of records t-3..t-1.
         tub = tub_factory(n_records=12, seed=4)

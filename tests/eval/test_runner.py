@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.common.errors import ConfigurationError, SimulationError
-from repro.eval.library import scenario_spec
+from repro.eval.library import MATRIX_BASE, scenario_spec
 from repro.eval.runner import run_scenario
 from repro.faults.plan import FaultPlan
 from repro.sim.dynamics import BicycleModel
@@ -89,8 +89,8 @@ def test_bad_drive_number_names_the_param(key):
 
 
 #: One bad value per kind of numeric fleet param, top level and gates:
-#: NaN, infinite, negative, a fraction where a count is due, or out of
-#: the setting's range.
+#: NaN, infinite, negative, a fraction where a count is due, out of the
+#: setting's range, or no number at all.
 BAD_FLEET_VALUES = [
     ("model_scale", float("nan")),
     ("learning_rate", float("nan")),
@@ -105,6 +105,8 @@ BAD_FLEET_VALUES = [
     ("gates.max_cte_regression_m", float("nan")),
     ("gates.min_completions", 2.5),
     ("gates.max_deadline_miss", 1.5),
+    ("frame_hw", "ab"),
+    ("frame_hw", [0, 24]),
 ]
 
 
@@ -114,6 +116,31 @@ def test_bad_fleet_number_names_the_param(key, value):
     with pytest.raises(
         ConfigurationError,
         match=rf"'fleet-canary-chaos' params\.{re.escape(key)} must be",
+    ):
+        run_scenario(spec)
+
+
+#: Serve and pipeline numbers the params table refuses: a fraction where
+#: the default is a count, NaN, or no number at all.
+BAD_TABLE_VALUES = [
+    (MATRIX_BASE, "service.replicas", 2.5),
+    (MATRIX_BASE, "workload.n_vehicles", 16.5),
+    (MATRIX_BASE, "service.max_wait_s", float("nan")),
+    (MATRIX_BASE, "duration_s", "abc"),
+    (scenario_spec("pipeline-quickstart"), "n_records", 80.5),
+    (scenario_spec("pipeline-quickstart"), "model_scale", float("nan")),
+]
+
+
+@pytest.mark.parametrize(
+    ("base", "key", "value"), BAD_TABLE_VALUES,
+    ids=[f"{base.name}-{key}" for base, key, _ in BAD_TABLE_VALUES],
+)
+def test_bad_table_number_names_the_param(base, key, value):
+    spec = base.with_overrides({key: value})
+    with pytest.raises(
+        ConfigurationError,
+        match=rf"'{base.name}' params\.{re.escape(key)} must be",
     ):
         run_scenario(spec)
 

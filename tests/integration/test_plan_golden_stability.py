@@ -3,19 +3,21 @@
 The compiled plans reuse preallocated buffers across calls, which is
 exactly the kind of optimisation that turns nondeterministic if a
 buffer leaks state between batches.  These tests pin the system-level
-guarantee: with plans enabled (the default everywhere), serve and
-fleet runs are byte-identical per seed, and the training fast path
-leaves checkpoint bytes unchanged relative to the reference layers.
+guarantee: on the plans, the only engine, serve and fleet runs are
+byte-identical per seed, and training on the plans
+leaves checkpoint bytes unchanged relative to the reference layers
+(the ``layer_loop`` fixture) for every model.
 """
 
 import json
 
 import numpy as np
+import pytest
 
 from repro.fleet import FleetConfig, FleetLoop
 from repro.fleet.gates import GateThresholds
-from repro.ml import Adam, Trainer, create_model, save_model_bytes
-from repro.data.datasets import ArraySplit
+from repro.ml import MODEL_NAMES, Adam, Trainer, create_model, save_model_bytes
+from repro.data.datasets import ArraySplit, linear_bin
 from repro.serve import BatchLatencyModel, InferenceService, PoissonWorkload
 
 LATENCY = BatchLatencyModel(overhead_s=0.002, per_item_s=0.0004)
@@ -59,21 +61,40 @@ def test_fleet_loop_byte_identical_with_plans():
     assert a == b
 
 
-def test_checkpoint_bytes_independent_of_fast_path():
-    """Training with and without the compiled plans produces identical
-    checkpoint payloads — the serialized-model goldens any downstream
-    system holds cannot shift when the fast path rolls out."""
-    rng = np.random.default_rng(2)
-    x = rng.random((16, 24, 32, 3)).astype(np.float32)
-    y = rng.random((16, 2)).astype(np.float32)
-    split = ArraySplit(x_train=x, y_train=y, x_val=x[:4], y_val=y[:4])
+def _model_split(model, n=16, n_val=4, seed=2):
+    """``n`` random samples in ``model``'s input and target layout; the
+    first ``n_val`` of them double as the validation set."""
+    rng = np.random.default_rng(seed)
+    frames = (n, model.sequence_length) if model.sequence_length else (n,)
+    x = rng.random((*frames, *model.input_shape)).astype(np.float32)
+    x_val = x[:n_val]
+    if model.targets == "memory":
+        history = rng.uniform(-1, 1, (n, model.mem_length, 2)).astype(np.float32)
+        x, x_val = (x, history), (x_val, history[:n_val])
+    y = rng.uniform(-1, 1, (n, 2)).astype(np.float32)
+    if model.targets == "angle":
+        y = y[:, :1]
+    elif model.targets == "categorical":
+        y = np.column_stack([linear_bin(y[:, 0]), y[:, 1:]]).astype(np.float32)
+    return ArraySplit(x_train=x, y_train=y, x_val=x_val, y_val=y[:n_val])
 
-    payloads = []
-    for use_plan in (True, False):
-        model = create_model("linear", input_shape=(24, 32, 3), scale=0.25)
-        Trainer(
-            optimizer=Adam(), batch_size=4, epochs=2,
-            shuffle_seed=4, use_plan=use_plan,
-        ).fit(model, split)
-        payloads.append(save_model_bytes(model))
-    assert payloads[0] == payloads[1]
+
+@pytest.mark.parametrize("name", MODEL_NAMES)
+def test_checkpoint_bytes_independent_of_fast_path(name, layer_loop):
+    """Training with and without the compiled plans gives identical
+    train losses and checkpoint payloads for every model — the
+    serialized-model goldens any downstream system holds cannot shift
+    with the engine that trained them."""
+
+    def train():
+        model = create_model(name, input_shape=(24, 32, 3), scale=0.25)
+        history = Trainer(
+            optimizer=Adam(), batch_size=4, epochs=2, shuffle_seed=4,
+        ).fit(model, _model_split(model))
+        return history.train_loss, save_model_bytes(model)
+
+    losses_fast, payload_fast = train()
+    with layer_loop():
+        losses_ref, payload_ref = train()
+    assert losses_fast == losses_ref
+    assert payload_fast == payload_ref

@@ -13,7 +13,10 @@ The contract under test (see ``repro.ml.plan``):
 
 Every layer type with a compiled kernel is covered alone and inside
 full DonkeyModel-shaped stacks, at batch sizes 1 / 7 / 32 including
-batch-size changes against a warm plan (workspace re-keying).
+batch-size changes against a warm plan (workspace re-keying).  Checks
+on whole models take their reference side from the ``layer_loop``
+fixture, which runs every model pass on ``Sequential.forward``/
+``backward``.
 """
 
 import numpy as np
@@ -208,9 +211,6 @@ def test_unsupported_layer_raises_plan_error():
     net = Sequential([Dense(3), Custom()], (4,), seed=6)
     with pytest.raises(PlanError, match="no compiled kernel"):
         net.plan()
-    # predict still works through the reference fallback.
-    out = net.predict(_input((4,), 5))
-    assert out.shape == (5, 3)
 
 
 def test_plan_tracks_in_place_weight_updates():
@@ -354,18 +354,19 @@ def test_conv_corner_shapes_bitwise(shape, filters, kernel, stride, batch, act):
         assert np.array_equal(ga, gb)
 
 
-def test_fleet_training_shape_is_bitwise():
+def test_fleet_training_shape_is_bitwise(layer_loop):
     """The shape the fleet trains: a (24, 32, 3) linear model at scale
     0.25, whose backbone is two 5x5 stride-2 convs, in batches of 16,
-    through ``fast_forward``/``fast_backward`` and Adam."""
+    through ``forward``/``backward`` and Adam, on the plans and on the
+    layer loop."""
     shape = (24, 32, 3)
     convs = [
         layer for layer in default_backbone_layers(scale=0.25, input_shape=shape)
         if isinstance(layer, Conv2D)
     ]
     assert [(c.kh, c.kw, c.sh, c.sw) for c in convs] == [(5, 5, 2, 2)] * 2
-    runs = []
-    for fast in (True, False):
+
+    def train():
         model = create_model("linear", input_shape=shape, scale=0.25, seed=4)
         opt = Adam(learning_rate=1e-3)
         rng = np.random.default_rng(21)
@@ -373,19 +374,16 @@ def test_fleet_training_shape_is_bitwise():
         for _ in range(3):
             x = rng.random((16, *shape), dtype=np.float32)
             y = rng.uniform(-1, 1, (16, 2)).astype(np.float32)
-            if fast:
-                pred = model.fast_forward(x, training=True)
-            else:
-                pred = model.forward(x, training=True)
+            pred = model.forward(x, training=True)
             loss, grad = model.compute_loss(pred, y)
-            if fast:
-                model.fast_backward(grad)
-            else:
-                model.backward(grad)
+            model.backward(grad)
             opt.step(model.params, model.grads)
             losses.append(loss)
-        runs.append((losses, model.get_weights()))
-    (losses_fast, weights_fast), (losses_ref, weights_ref) = runs
+        return losses, model.get_weights()
+
+    losses_fast, weights_fast = train()
+    with layer_loop():
+        losses_ref, weights_ref = train()
     assert losses_fast == losses_ref
     for wf, wr in zip(weights_fast, weights_ref):
         assert np.array_equal(wf, wr)
@@ -416,13 +414,14 @@ def test_training_plan_input_grad_matches_reference():
 # ------------------------------------------- DonkeyModel-shaped nets
 
 
-def _reference_commands(model, frames):
+def _reference_commands(model, frames, layer_loop):
     """predict_frames semantics routed through the reference layers:
     same model-specific head post-processing, no compiled plans."""
     from repro.data.datasets import N_STEERING_BINS, images_to_float, linear_unbin
 
     x = model._serving_batch(images_to_float(frames))
-    pred = model.forward(x, training=False)
+    with layer_loop():
+        pred = model.forward(x, training=False)
     if model.name == "categorical":
         angle = linear_unbin(pred[:, :N_STEERING_BINS])
         throttle = np.clip(pred[:, N_STEERING_BINS], -1.0, 1.0)
@@ -461,8 +460,8 @@ def test_fast_backward_skips_only_the_image_input_grad(name, monkeypatch):
         return backward(plan, grad, input_grad)
 
     monkeypatch.setattr(TrainingPlan, "backward", spy)
-    pred = model.fast_forward(_model_batch(model, 4), training=True)
-    model.fast_backward(np.ones_like(pred))
+    pred = model.forward(_model_batch(model, 4), training=True)
+    model.backward(np.ones_like(pred))
     by_net = {
         attr: [flag for plan, flag in requested if plan is net.training_plan()]
         for attr, net in nets.items()
@@ -473,12 +472,14 @@ def test_fast_backward_skips_only_the_image_input_grad(name, monkeypatch):
 @pytest.mark.parametrize(
     "name", ["linear", "categorical", "inferred", "memory", "rnn", "3d"]
 )
-def test_model_fast_forward_matches_reference(name):
+def test_model_fast_forward_matches_reference(name, layer_loop):
     model = create_model(name, input_shape=(24, 32, 3), scale=0.25)
-    assert model.supports_fast_path()
+    for net in model._networks():  # every network compiles both plans
+        net.plan()
+        net.training_plan()
     rng = np.random.default_rng(17)
     for batch in BATCH_SIZES:
         frames = rng.integers(0, 255, (batch, 24, 32, 3), dtype=np.uint8)
-        ref = _reference_commands(model, frames)
+        ref = _reference_commands(model, frames, layer_loop)
         got = model.predict_frames(frames)
         np.testing.assert_allclose(got, ref, rtol=RTOL, atol=ATOL)

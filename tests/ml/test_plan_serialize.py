@@ -30,10 +30,10 @@ def _frames(model, batch, seed=0):
 @pytest.mark.parametrize("name", MODELS)
 def test_roundtrip_plan_matches_original_plan(name):
     original = create_model(name, input_shape=(24, 32, 3), scale=0.25)
-    assert original.compile_plans()
+    original.compile_plans()
 
     restored = load_model_bytes(save_model_bytes(original))
-    assert restored.compile_plans()
+    restored.compile_plans()
     # compile_plans() pre-compiled every sub-network's inference plan.
     for net in restored._networks():
         assert net._plan is not None
@@ -56,12 +56,13 @@ def test_load_without_compile_is_lazy():
     )
 
 
-def test_warm_start_training_stays_bitwise_on_fast_path():
+def test_warm_start_training_stays_bitwise_on_fast_path(layer_loop):
     """Fleet warm-start: publish a checkpoint, reload it, keep training.
 
     The reloaded model trained through the compiled plans must produce
     the same weights as the reloaded model trained on the reference
-    layers — i.e. warm-starting does not fork the numerics.
+    layers (the ``layer_loop`` fixture) — i.e. warm-starting does not
+    fork the numerics.
     """
     rng = np.random.default_rng(5)
     x = rng.random((12, 24, 32, 3)).astype(np.float32)
@@ -74,22 +75,16 @@ def test_warm_start_training_stays_bitwise_on_fast_path():
     )
     checkpoint = save_model_bytes(first)
 
-    results = []
-    for use_plan in (True, False):
+    def keep_training():
         warm = load_model_bytes(checkpoint)
-        if use_plan:
-            warm.compile_plans()
-        trainer = Trainer(
-            optimizer=Adam(),
-            batch_size=4,
-            epochs=2,
-            shuffle_seed=2,
-            use_plan=use_plan,
-        )
+        warm.compile_plans()
+        trainer = Trainer(optimizer=Adam(), batch_size=4, epochs=2, shuffle_seed=2)
         history = trainer.fit(warm, split)
-        results.append((history.train_loss, warm.get_weights()))
+        return history.train_loss, warm.get_weights()
 
-    (loss_fast, weights_fast), (loss_ref, weights_ref) = results
+    loss_fast, weights_fast = keep_training()
+    with layer_loop():
+        loss_ref, weights_ref = keep_training()
     assert loss_fast == loss_ref
     for wf, wr in zip(weights_fast, weights_ref):
         assert np.array_equal(wf, wr)
