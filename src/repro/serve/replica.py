@@ -24,15 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.common.clock import ScheduledEvent
 from repro.common.errors import ConfigurationError, ReplicaStateError
 from repro.common.rng import ensure_rng
 from repro.edge.devices import DeviceSpec
+from repro.faults.breaker import CircuitBreaker
 from repro.inference.backends import (
     FRAME_WIRE_BYTES,
     RESPONSE_WIRE_BYTES,
     SOFTWARE_OVERHEAD_S,
 )
 from repro.net.topology import Route
+from repro.obs.span import Span
 from repro.serve.batcher import MicroBatcher
 from repro.serve.queueing import AdmissionQueue
 from repro.serve.request import Request
@@ -124,7 +127,15 @@ class ReplicaState(enum.Enum):
 
 
 class Replica:
-    """One model replica: bounded queue + micro-batcher + latency model."""
+    """One model replica: bounded queue + micro-batcher + latency model.
+
+    It also holds the serving state the
+    :class:`~repro.serve.service.InferenceService` keeps per replica:
+    the batch in flight (``inflight``, its sampled latency and the
+    ``completion`` event that ends it), the pending batcher ``wake``,
+    the circuit ``breaker`` (None without a breaker policy), and the
+    spans of its life, its in-flight batch and its hang window.
+    """
 
     def __init__(
         self,
@@ -157,11 +168,17 @@ class Replica:
         self.model = model
         self.model_version = model_version
         self.state = ReplicaState.PROVISIONING
-        self.busy = False
-        self.inflight: tuple[Request, ...] = ()
         self.ready_at = -1.0
         self.hung_until = -1.0
         self._rng = ensure_rng(rng)
+        self.inflight: tuple[Request, ...] = ()
+        self.inflight_latency_s = 0.0
+        self.completion: ScheduledEvent | None = None
+        self.wake: ScheduledEvent | None = None
+        self.breaker: CircuitBreaker | None = None
+        self.span: Span | None = None
+        self.batch_span: Span | None = None
+        self.hang_span: Span | None = None
 
     # --------------------------------------------------------- lifecycle
 
@@ -185,7 +202,7 @@ class Replica:
 
     def retire(self) -> None:
         """Leave the fleet (queue must already be empty and idle)."""
-        if self.busy or len(self.queue):
+        if self.inflight or len(self.queue):
             raise ReplicaStateError(
                 f"replica {self.replica_id} still has work; drain first"
             )
@@ -203,7 +220,6 @@ class Replica:
                 f"replica {self.replica_id} cannot crash from {self.state.value}"
             )
         self.state = ReplicaState.FAILED
-        self.busy = False
         self.inflight = ()
 
     def is_hung(self, now: float) -> bool:

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from repro.common.clock import EventScheduler, ScheduledEvent
+from repro.common.clock import EventScheduler
 from repro.common.errors import ConfigurationError, ServeError
 from repro.common.ids import IdFactory
 from repro.common.rng import seed_from_name
@@ -135,7 +135,6 @@ class InferenceService:
         queue_policy: str = "drop",
         route: Route | None = None,
         seed: int = 0,
-        keep_requests: bool = False,
         injector: FaultInjector | None = None,
         breaker_policy: BreakerPolicy | None = None,
         tracer: Tracer | None = None,
@@ -173,24 +172,16 @@ class InferenceService:
         self._hang_faults = SeriesHandle(
             self.metrics.counter, "serve.faults", kind="hang"
         )
-        self._trace_requests = bool(trace_requests) and self.tracer.enabled
-        self._batch_spans: dict[str, Span] = {}
-        self._replica_spans: dict[str, Span] = {}
+        self._trace_requests = bool(trace_requests)
         self._request_spans: dict[str, Span] = {}
-        self._hang_spans: dict[str, Span] = {}
         self.slo = SloTracker(metrics=self.metrics)
         self.replicas: list[Replica] = []
-        self.requests: list[Request] = []
         self.injector = injector
         self._breaker_policy = breaker_policy
         if self._breaker_policy is None and injector is not None:
             self._breaker_policy = BreakerPolicy()
-        self._breakers: dict[str, CircuitBreaker] = {}
-        self._keep_requests = bool(keep_requests)
         self._ids = IdFactory()
-        self._wakes: dict[str, ScheduledEvent] = {}
-        self._inflight: dict[str, tuple[ScheduledEvent, list[Request], float]] = {}
-        self._hang_resolutions: dict[FaultSpec, list[list[str]]] = {}
+        self._hang_resolutions: dict[FaultSpec, list[list[Replica]]] = {}
         self._workload: Workload | None = None
         # The routable set, kept between placements: None after anything
         # that can move a replica in or out of it (a replica state
@@ -238,13 +229,8 @@ class InferenceService:
         )
         self.replicas.append(replica)
         if self._breaker_policy is not None:
-            self._breakers[replica_id] = CircuitBreaker(
-                self._breaker_policy, name=replica_id
-            )
-        if self.tracer.enabled:
-            self._replica_spans[replica_id] = self.tracer.start(
-                "serve.replica", replica=replica_id
-            )
+            replica.breaker = CircuitBreaker(self._breaker_policy, name=replica_id)
+        replica.span = self.tracer.start("serve.replica", replica=replica_id)
         self._update_replica_gauge()
         return replica
 
@@ -257,13 +243,6 @@ class InferenceService:
         )
         self._replica_gauge.set(live)
 
-    def _end_replica_span(
-        self, replica_id: str, status: str = "ok", error: str = ""
-    ) -> None:
-        span = self._replica_spans.pop(replica_id, None)
-        if span is not None:
-            self.tracer.end(span, status=status, error=error)
-
     @property
     def crashes(self) -> int:
         """Replica crashes so far: the ``serve.faults{kind=crash}`` count."""
@@ -273,10 +252,6 @@ class InferenceService:
     def hangs(self) -> int:
         """Replica hangs so far: the ``serve.faults{kind=hang}`` count."""
         return self.metrics.count("serve.faults", kind="hang")
-
-    def breaker_for(self, replica_id: str) -> CircuitBreaker | None:
-        """The per-replica circuit breaker (None without a policy)."""
-        return self._breakers.get(replica_id)
 
     def version_of(self, replica_id: str) -> str:
         """Model-version label of one replica ("" = service default)."""
@@ -318,9 +293,9 @@ class InferenceService:
             if replica.routable:
                 replica.drain()
                 self._routable = None
-                if not replica.busy and not len(replica.queue):
+                if not replica.inflight and not len(replica.queue):
                     replica.retire()
-                    self._end_replica_span(replica.replica_id)
+                    self.tracer.end(replica.span)
                     self._update_replica_gauge()
                 return replica
         return None
@@ -346,7 +321,7 @@ class InferenceService:
                 if replica.is_hung(now):
                     until = min(until, replica.hung_until)
                     continue
-                breaker = self._breakers.get(replica.replica_id)
+                breaker = replica.breaker
                 if breaker is not None and not breaker.peek(now):
                     until = min(until, breaker.half_open_at)
                     continue
@@ -373,8 +348,6 @@ class InferenceService:
             self._request_spans[request.request_id] = self.tracer.start(
                 "serve.request", request=request.request_id, source=request.source
             )
-        if self._keep_requests:
-            self.requests.append(request)
         return self._place(request, now)
 
     def _place(self, request: Request, now: float) -> bool:
@@ -384,7 +357,7 @@ class InferenceService:
             request.status = RequestStatus.DROPPED
             self._lose(request, "drop", now)
             return False
-        breaker = self._breakers.get(replica.replica_id)
+        breaker = replica.breaker
         if breaker is not None and breaker.state is not BreakerState.CLOSED:
             # allow() may admit a half-open probe, which changes peek().
             self._routable = None
@@ -441,28 +414,23 @@ class InferenceService:
 
     def _crash(self, replica: Replica, now: float) -> None:
         """Kill one replica; rescue its queued and in-flight requests."""
-        wake = self._wakes.pop(replica.replica_id, None)
-        if wake is not None:
-            wake.cancel()
-        orphans: list[Request] = []
-        entry = self._inflight.pop(replica.replica_id, None)
-        if entry is not None:
-            event, batch, _ = entry
-            event.cancel()
-            orphans.extend(batch)
+        if replica.wake is not None:
+            replica.wake.cancel()
+            replica.wake = None
+        orphans = list(replica.inflight)
+        if orphans:
+            replica.completion.cancel()
+            self.tracer.end(replica.batch_span, status=STATUS_ERROR, error="crash")
+            replica.completion = replica.batch_span = None
         if len(replica.queue):
             orphans.extend(replica.queue.pop(len(replica.queue)))
         replica.fail()
         self._routable = None
-        batch_span = self._batch_spans.pop(replica.replica_id, None)
-        if batch_span is not None:
-            self.tracer.end(batch_span, status=STATUS_ERROR, error="crash")
-        self._end_replica_span(replica.replica_id, status=STATUS_ERROR, error="crash")
+        self.tracer.end(replica.span, status=STATUS_ERROR, error="crash")
         self._update_replica_gauge()
         self._crash_faults.inc()
-        breaker = self._breakers.get(replica.replica_id)
-        if breaker is not None:
-            breaker.trip(now)
+        if replica.breaker is not None:
+            replica.breaker.trip(now)
         # Tightest deadline first: the rescue order that never strands an
         # urgent request behind a relaxed one (chaos property-checked).
         orphans.sort(key=lambda r: (r.deadline_s, r.arrival_s, r.request_id))
@@ -486,65 +454,48 @@ class InferenceService:
         targets = self._fault_targets(spec, rng)
         # Remember the resolution so the clear event thaws the *same*
         # replicas (a second "replica:any" draw could pick differently).
-        self._hang_resolutions.setdefault(spec, []).append(
-            [replica.replica_id for replica in targets]
-        )
+        self._hang_resolutions.setdefault(spec, []).append(targets)
         for replica in targets:
             self._hang(replica, now, spec.end_s)
 
     def _hang(self, replica: Replica, now: float, until_s: float) -> None:
         """Freeze one replica until ``until_s``; in-flight work stalls."""
-        if self.tracer.enabled:
-            stale = self._hang_spans.pop(replica.replica_id, None)
-            if stale is not None:
-                # Overlapping hang: the old window is subsumed by this one.
-                self.tracer.end(stale, status=STATUS_ERROR, error="hang")
-            self._hang_spans[replica.replica_id] = self.tracer.start(
-                "serve.replica.hang", replica=replica.replica_id, until_s=until_s
-            )
+        if replica.hang_span is not None:
+            # Overlapping hang: the old window is subsumed by this one.
+            self.tracer.end(replica.hang_span, status=STATUS_ERROR, error="hang")
+        replica.hang_span = self.tracer.start(
+            "serve.replica.hang", replica=replica.replica_id, until_s=until_s
+        )
         self._hang_faults.inc()
         replica.hung_until = max(replica.hung_until, until_s)
         self._routable = None
-        wake = self._wakes.pop(replica.replica_id, None)
-        if wake is not None:
-            wake.cancel()
-        breaker = self._breakers.get(replica.replica_id)
-        if breaker is not None:
-            breaker.trip(now)
-        entry = self._inflight.pop(replica.replica_id, None)
-        if entry is not None:
+        if replica.wake is not None:
+            replica.wake.cancel()
+            replica.wake = None
+        if replica.breaker is not None:
+            replica.breaker.trip(now)
+        if replica.inflight:
             # The in-flight batch finishes late by the hang duration.
-            event, batch, latency = entry
-            event.cancel()
-            postponed = self.scheduler.schedule_at(
-                event.time + (until_s - now),
-                lambda: self._complete(replica, batch, latency),
-                label="serve.batch.complete",
-            )
-            self._inflight[replica.replica_id] = (postponed, batch, latency)
+            completion = replica.completion
+            self.scheduler.reschedule(completion, completion.time + (until_s - now))
 
     def _on_hang_clear(self, spec: FaultSpec, rng) -> None:
         now = self.scheduler.clock.now
         resolutions = self._hang_resolutions.get(spec, [])
-        replica_ids = resolutions.pop(0) if resolutions else []
-        by_id = {replica.replica_id: replica for replica in self.replicas}
-        for replica_id in replica_ids:
-            span = self._hang_spans.pop(replica_id, None)
-            if span is not None:
+        for replica in resolutions.pop(0) if resolutions else []:
+            if replica.hang_span is not None:
                 # The hang window itself is an error-status interval,
                 # whatever became of the replica afterwards.
-                self.tracer.end(span, status=STATUS_ERROR, error="hang")
-            replica = by_id.get(replica_id)
-            if replica is None or replica.state is ReplicaState.FAILED:
-                continue
-            if not replica.is_hung(now):
+                self.tracer.end(replica.hang_span, status=STATUS_ERROR, error="hang")
+                replica.hang_span = None
+            if replica.state is not ReplicaState.FAILED and not replica.is_hung(now):
                 self._pump(replica)
 
     # ---------------------------------------------------------- batching
 
     def _pump(self, replica: Replica) -> None:
         """Re-evaluate one replica's batching decision."""
-        if replica.busy or replica.state not in (
+        if replica.inflight or replica.state not in (
             ReplicaState.READY,
             ReplicaState.DRAINING,
         ):
@@ -557,14 +508,15 @@ class InferenceService:
         # Wake rotation: hold the stale wake and either move it with the
         # allocation-free reschedule() (every pump between two wakes used
         # to rot a tombstone in the heap) or cancel it for good.
-        stale_wake = self._wakes.pop(replica.replica_id, None)
+        stale_wake = replica.wake
+        replica.wake = None
         depth = len(replica.queue)
         if depth == 0:
             if stale_wake is not None:
                 stale_wake.cancel()
             if replica.state is ReplicaState.DRAINING:
                 replica.retire()
-                self._end_replica_span(replica.replica_id)
+                self.tracer.end(replica.span)
                 self._update_replica_gauge()
             return
         planned = min(depth, replica.batcher.max_batch)
@@ -581,14 +533,14 @@ class InferenceService:
             self._dispatch(replica, decision.size)
         elif math.isfinite(decision.wake_at):
             if stale_wake is None:
-                self._wakes[replica.replica_id] = self.scheduler.schedule_at(
+                replica.wake = self.scheduler.schedule_at(
                     max(decision.wake_at, now),
                     lambda: self._pump(replica),
                     label="serve.batch.wake",
                 )
             else:
                 # The stale wake's callback already pumps this replica.
-                self._wakes[replica.replica_id] = self.scheduler.reschedule(
+                replica.wake = self.scheduler.reschedule(
                     stale_wake, max(decision.wake_at, now)
                 )
         elif stale_wake is not None:
@@ -608,29 +560,22 @@ class InferenceService:
         latency = replica.sample_batch_latency(len(batch))
         if self.injector is not None:
             latency *= self.injector.latency_factor(replica.replica_id, now)
-        replica.busy = True
         replica.inflight = tuple(batch)
-        if self.tracer.enabled:
-            self._batch_spans[replica.replica_id] = self.tracer.start(
-                "serve.batch",
-                batch=batch_id,
-                replica=replica.replica_id,
-                size=len(batch),
-            )
+        replica.inflight_latency_s = latency
+        replica.batch_span = self.tracer.start(
+            "serve.batch", batch=batch_id, replica=replica.replica_id, size=len(batch)
+        )
         self._batches.inc()
         self._batch_latency.observe(latency)
-        event = self.scheduler.schedule_in(
-            latency,
-            lambda: self._complete(replica, batch, latency),
-            label="serve.batch.complete",
+        replica.completion = self.scheduler.schedule_in(
+            latency, lambda: self._complete(replica), label="serve.batch.complete"
         )
-        self._inflight[replica.replica_id] = (event, batch, latency)
 
-    def _complete(
-        self, replica: Replica, batch: list[Request], latency: float
-    ) -> None:
+    def _complete(self, replica: Replica) -> None:
+        """End the replica's in-flight batch: answer and score each request."""
         now = self.scheduler.clock.now
-        self._inflight.pop(replica.replica_id, None)
+        batch = replica.inflight
+        latency = replica.inflight_latency_s
         model = replica.model if replica.model is not None else self.model
         if model is not None:
             frames = [request.frame for request in batch]
@@ -652,13 +597,11 @@ class InferenceService:
             if span is not None:
                 span.attrs["latency_s"] = request.latency_s
                 self.tracer.end(span)
-        batch_span = self._batch_spans.pop(replica.replica_id, None)
-        if batch_span is not None:
-            batch_span.attrs["latency_s"] = latency
-            self.tracer.end(batch_span)
-        replica.busy = False
+        replica.batch_span.attrs["latency_s"] = latency
+        self.tracer.end(replica.batch_span)
         replica.inflight = ()
-        breaker = self._breakers.get(replica.replica_id)
+        replica.completion = replica.batch_span = None
+        breaker = replica.breaker
         if breaker is not None:
             if breaker.state is not BreakerState.CLOSED:
                 self._routable = None  # a probe success closes the circuit
@@ -713,7 +656,7 @@ class InferenceService:
         holding = [
             replica.replica_id
             for replica in self.replicas
-            if replica.busy or len(replica.queue)
+            if replica.inflight or len(replica.queue)
         ]
         if holding:
             raise ServeError(

@@ -145,19 +145,17 @@ class VehicleFleetWorkload(Workload):
     A tick submits a request when the vehicle has none in flight;
     otherwise it is *stale*: the vehicle drives on its old command.
 
-    The loop counts only what the service cannot see: ``ticks``,
-    ``stale_ticks`` and ``max_stale_streak``, the longest run of stale
-    ticks one vehicle drove through.  Requests, responses and losses
-    are the service's to count.
+    The loop counts only what the service cannot see: a tick adds one
+    to ``ticks`` and then either one to ``stale_ticks`` or submits.
+    Requests, responses and losses are the service's to count.
 
     **Events.**  Every tick, stale or fresh, is one ``workload.vehicle``
     scheduler event, and stale ticks are counted as they run, so the
-    counts and the fresh-ratio timeline are current whenever they are
-    read.  Each vehicle owns one :class:`~repro.common.clock.ScheduledEvent`
-    (and one callback), made at :meth:`start`; the end of every tick
-    moves it to the next tick with
-    :meth:`~repro.common.clock.EventScheduler.reschedule`, so a tick
-    allocates no event and no closure.
+    counts are current whenever they are read.  Each vehicle owns one
+    :class:`~repro.common.clock.ScheduledEvent` (and one callback),
+    made at :meth:`start`; the end of every tick moves it to the next
+    tick with :meth:`~repro.common.clock.EventScheduler.reschedule`, so
+    a tick allocates no event and no closure.
 
     **Ties.**  A response or loss at the exact instant of one of its
     vehicle's ticks is ordered by the scheduler's ``(time, seq)`` rule:
@@ -201,10 +199,6 @@ class VehicleFleetWorkload(Workload):
         self._outstanding = [False] * self.n_vehicles
         self.ticks = 0
         self.stale_ticks = 0
-        self.max_stale_streak = 0
-        self._streaks = [0] * self.n_vehicles
-        self._buckets: dict[int, list[int]] = {}
-        self.timeline_bucket_s = 1.0
         self._count = 0
         self._service = None
         self._scheduler = None
@@ -219,21 +213,6 @@ class VehicleFleetWorkload(Workload):
     def stale_ratio(self) -> float:
         """Fraction of fleet ticks driven on a stale command."""
         return self.stale_ticks / self.ticks if self.ticks else 0.0
-
-    def fresh_ratio_timeline(self) -> list[tuple[float, float]]:
-        """Per-bucket (start_s, fresh-tick ratio) pairs, time-ordered.
-
-        A tick is *fresh* when the vehicle is not driving on a stale
-        command.  The soak suite uses this to check the fleet recovers
-        after the last fault clears.
-        """
-        out = []
-        for index in sorted(self._buckets):
-            fresh, total = self._buckets[index]
-            out.append(
-                (index * self.timeline_bucket_s, fresh / total if total else 0.0)
-            )
-        return out
 
     def start(self, service, until_s: float) -> None:
         self._service = service
@@ -252,21 +231,10 @@ class VehicleFleetWorkload(Workload):
         scheduler = self._scheduler
         now = scheduler.clock.now
         self.ticks += 1
-        index = int(now // self.timeline_bucket_s)
-        bucket = self._buckets.get(index)
-        if bucket is None:
-            bucket = self._buckets[index] = [0, 0]
-        bucket[1] += 1
         if self._outstanding[vehicle]:
             # Previous command still in flight: drive on the stale one.
             self.stale_ticks += 1
-            streak = self._streaks[vehicle] + 1
-            self._streaks[vehicle] = streak
-            if streak > self.max_stale_streak:
-                self.max_stale_streak = streak
         else:
-            bucket[0] += 1
-            self._streaks[vehicle] = 0
             self._count += 1
             frame = None
             if self._frames is not None:
@@ -289,8 +257,7 @@ class VehicleFleetWorkload(Workload):
         return int(source[4:])
 
     def on_response(self, request: Request) -> None:
-        # Answered or lost, the vehicle's next tick submits again (and
-        # restarts its stale streak).
+        # Answered or lost, the vehicle's next tick submits again.
         vehicle = self._vehicle_index(request.source)
         if vehicle is not None:
             self._outstanding[vehicle] = False

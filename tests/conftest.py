@@ -20,6 +20,7 @@ from repro.faults import FaultInjector, FaultPlan, FaultSpec
 from repro.ml.network import Sequential
 from repro.serve.replica import BatchLatencyModel
 from repro.serve.service import InferenceService
+from repro.serve.workload import VehicleFleetWorkload
 from repro.sim.renderer import CameraParams
 from repro.sim.session import DrivingSession
 from repro.sim.tracks import default_tape_oval, waveshare_track
@@ -197,7 +198,6 @@ def chaos_service(fault_plan_factory):
             if plan is not None
             else None
         )
-        kw.setdefault("keep_requests", True)
         latency_model = BatchLatencyModel.from_gpu(
             GPU_SPECS[gpu], flops_per_frame
         )
@@ -206,6 +206,85 @@ def chaos_service(fault_plan_factory):
         )
 
     return make
+
+
+def record_offers(service) -> list:
+    """Spy on ``service.submit``; returns the list of requests offered.
+
+    Install it before the run starts.  A request a crash rescues is
+    placed again, not offered again, so each request appears once.
+    """
+    offered = []
+    submit = service.submit
+
+    def spy(request):
+        offered.append(request)
+        return submit(request)
+
+    service.submit = spy
+    return offered
+
+
+class TickLog:
+    """What each tick of one vehicle workload saw, observed from outside.
+
+    :meth:`attach` wraps a workload's ``_tick`` before it starts.  A
+    tick is stale while its vehicle's request is outstanding, else
+    fresh.  The log keeps each vehicle's current run of stale ticks
+    (``max_stale_streak`` is the longest) and the fresh and total ticks
+    per ``bucket_s`` of simulated time (:meth:`fresh_ratio_timeline`).
+    """
+
+    def __init__(self, bucket_s: float = 1.0) -> None:
+        self.bucket_s = bucket_s
+        self.max_stale_streak = 0
+        self._streaks: dict[int, int] = {}
+        self._buckets: dict[int, list[int]] = {}
+
+    @classmethod
+    def attach(cls, workload, bucket_s: float = 1.0) -> "TickLog":
+        log = cls(bucket_s)
+        tick = workload._tick
+
+        def observed(vehicle):
+            now = workload._service.scheduler.clock.now
+            log.record(vehicle, now, workload._outstanding[vehicle])
+            tick(vehicle)
+
+        workload._tick = observed
+        return log
+
+    def record(self, vehicle: int, now: float, stale: bool) -> None:
+        bucket = self._buckets.setdefault(int(now // self.bucket_s), [0, 0])
+        bucket[1] += 1
+        if stale:
+            streak = self._streaks.get(vehicle, 0) + 1
+            self._streaks[vehicle] = streak
+            self.max_stale_streak = max(self.max_stale_streak, streak)
+        else:
+            bucket[0] += 1
+            self._streaks[vehicle] = 0
+
+    def fresh_ratio_timeline(self) -> list[tuple[float, float]]:
+        """Per-bucket ``(start_s, fresh-tick ratio)`` pairs, time-ordered."""
+        return [
+            (index * self.bucket_s, fresh / total)
+            for index, (fresh, total) in sorted(self._buckets.items())
+        ]
+
+
+@pytest.fixture()
+def tick_logs(monkeypatch):
+    """A :class:`TickLog` per vehicle workload the test starts, in order."""
+    logs = []
+    start = VehicleFleetWorkload.start
+
+    def start_logged(workload, service, until_s):
+        logs.append(TickLog.attach(workload))
+        start(workload, service, until_s)
+
+    monkeypatch.setattr(VehicleFleetWorkload, "start", start_logged)
+    return logs
 
 
 @pytest.fixture(scope="session")

@@ -14,6 +14,7 @@ from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 from repro.serve.replica import ReplicaState
 from repro.serve.request import RequestStatus, TERMINAL_STATUSES
 from repro.serve.workload import PoissonWorkload, VehicleFleetWorkload
+from tests.conftest import record_offers
 
 
 class TestCrashConservation:
@@ -24,15 +25,16 @@ class TestCrashConservation:
             plan=[(FaultKind.REPLICA_CRASH, "replica-0001", 0.5)],
             n_replicas=2,
         )
+        offered = record_offers(service)
         service.run(PoissonWorkload(400.0, deadline_s=0.2, seed=5), 2.0)
         assert service.crashes == 1
         assert service.slo.requeued > 0
-        assert service.requests
-        assert all(r.status in TERMINAL_STATUSES for r in service.requests)
+        assert offered
+        assert all(r.status in TERMINAL_STATUSES for r in offered)
         slo = service.slo
         assert slo.offered == slo.completed + slo.losses
         completed = [
-            r.request_id for r in service.requests
+            r.request_id for r in offered
             if r.status is RequestStatus.COMPLETED
         ]
         assert len(completed) == len(set(completed))
@@ -45,7 +47,8 @@ class TestCrashConservation:
         service.run(PoissonWorkload(200.0, seed=5), 1.0)
         crashed = service.replicas[0]
         assert crashed.state is ReplicaState.FAILED
-        assert service.breaker_for("replica-0001").state is BreakerState.OPEN
+        assert crashed.replica_id == "replica-0001"
+        assert crashed.breaker.state is BreakerState.OPEN
         assert crashed not in service.routable_replicas()
 
     def test_requeues_preserve_deadline_order(self, chaos_service, monkeypatch):
@@ -93,7 +96,7 @@ class TestHangs:
         service = InferenceService(
             BatchLatencyModel(0.3, 0.01, jitter=0.0),
             n_replicas=1, batch_policy="single", seed=5,
-            injector=FaultInjector(plan, seed=5), keep_requests=True,
+            injector=FaultInjector(plan, seed=5),
         )
         request = Request("req-000001", "test", arrival_s=0.0, deadline_s=10.0)
         assert service.submit(request)
@@ -130,6 +133,7 @@ class TestAutoscalerReplacement:
             provision_delay_s=0.25, queue_high=1e9, p95_target_s=1e9,
         )
         autoscaler = Autoscaler(service, policy)
+        offered = record_offers(service)
         summary = service.run(
             PoissonWorkload(50.0, deadline_s=2.0, seed=5), 4.0,
             autoscaler=autoscaler,
@@ -143,7 +147,7 @@ class TestAutoscalerReplacement:
         assert any(
             request.replica_id == replacement.replica_id
             and request.status is RequestStatus.COMPLETED
-            for request in service.requests
+            for request in offered
         )
 
 
@@ -229,11 +233,12 @@ class TestScenario:
 
 
 class TestChaosCrashSpec:
-    def test_vehicle_staleness_holds_its_recorded_values(self):
+    def test_vehicle_staleness_holds_its_recorded_values(self, tick_logs):
         """The staleness figures the chaos-crash scorecard used to pin."""
         artifacts = run_scenario(scenario_spec("chaos-crash"), seed=0).artifacts
         summary = artifacts["summary"]
-        assert artifacts["workload"].max_stale_streak == 23
+        (log,) = tick_logs
+        assert log.max_stale_streak == 23
         # Every request comes from a vehicle, so the service's counts
         # are the fleet's responses and lost responses.
         assert (summary.completed, summary.offered) == (385, 445)

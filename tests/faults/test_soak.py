@@ -14,6 +14,7 @@ from repro.serve.replica import BatchLatencyModel
 from repro.serve.service import InferenceService
 from repro.serve.workload import VehicleFleetWorkload
 from repro.testbed.hardware import GPU_SPECS
+from tests.conftest import TickLog
 
 DURATION_S = 12.0
 FLEET = 32
@@ -36,17 +37,18 @@ def soak(seed):
         injector=FaultInjector(plan, seed=seed),
     )
     workload = VehicleFleetWorkload(FLEET, deadline_ticks=4, seed=seed)
+    log = TickLog.attach(workload)
     autoscaler = Autoscaler(service, AutoscalePolicy(
         min_replicas=REPLICAS, max_replicas=2 * REPLICAS,
         interval_s=0.5, provision_delay_s=0.5,
     ))
     summary = service.run(workload, DURATION_S, autoscaler=autoscaler)
-    return plan, service, workload, summary
+    return plan, service, log, summary
 
 
 @pytest.mark.parametrize("seed", SOAK_SEEDS)
 def test_fleet_rides_out_randomized_faults(seed):
-    plan, service, workload, summary = soak(seed)
+    plan, service, log, summary = soak(seed)
     assert service.crashes + service.hangs > 0, "the plan must actually bite"
     assert plan.last_clear_s <= DURATION_S * 0.65 + 1e-9
 
@@ -59,17 +61,17 @@ def test_fleet_rides_out_randomized_faults(seed):
 
     # Recovery: once the last fault clears, the per-bucket fresh-tick
     # ratio returns to at least the pre-fault level.
-    timeline = workload.fresh_ratio_timeline()
+    timeline = log.fresh_ratio_timeline()
     first_fault = min(spec.at_s for spec in plan)
     pre = [
         ratio for start, ratio in timeline
-        if start + workload.timeline_bucket_s <= first_fault
+        if start + log.bucket_s <= first_fault
     ]
     assert pre, "seed must leave a clean pre-fault bucket"
     recovered = [
         ratio for start, ratio in timeline
         if start >= plan.last_clear_s + 1.0
-        and start + workload.timeline_bucket_s <= DURATION_S
+        and start + log.bucket_s <= DURATION_S
     ]
     assert recovered, "the quiet tail must span whole buckets"
     assert min(recovered) >= max(pre) - 0.02
@@ -77,11 +79,11 @@ def test_fleet_rides_out_randomized_faults(seed):
 
 def test_soak_is_deterministic_per_seed():
     def fingerprint():
-        _, service, workload, summary = soak(SOAK_SEEDS[0])
+        _, service, log, summary = soak(SOAK_SEEDS[0])
         return (
             service.slo.offered, service.slo.completed, service.crashes,
-            service.hangs, workload.max_stale_streak, summary.to_text(),
-            tuple(workload.fresh_ratio_timeline()),
+            service.hangs, log.max_stale_streak, summary.to_text(),
+            tuple(log.fresh_ratio_timeline()),
         )
 
     assert fingerprint() == fingerprint()

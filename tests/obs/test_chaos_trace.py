@@ -86,7 +86,7 @@ class TestCrashLeavesErrorSpans:
         tripped = [
             r.replica_id
             for r in service.replicas
-            if service.breaker_for(r.replica_id).state is BreakerState.OPEN
+            if r.breaker.state is BreakerState.OPEN
         ]
         assert tripped, "the crash plan should have tripped breakers"
         for replica_id in tripped:

@@ -135,7 +135,6 @@ class TestRequeueProps:
             BatchLatencyModel(0.2, 0.01, jitter=0.0),
             n_replicas=1, batch_policy="single", queue_capacity=64,
             seed=seed, injector=FaultInjector(plan, seed=seed),
-            keep_requests=True,
         )
         requeued = []
         record_requeue = service.slo.record_requeue

@@ -21,6 +21,7 @@ from repro.serve.replica import BatchLatencyModel
 from repro.serve.request import Request, RequestStatus, TERMINAL_STATUSES
 from repro.serve.service import InferenceService
 from repro.serve.workload import PoissonWorkload, VehicleFleetWorkload
+from tests.conftest import TickLog, record_offers
 
 LATENCY = BatchLatencyModel(0.004, 0.0002)
 
@@ -32,6 +33,7 @@ SLOW_SETTINGS = settings(
 
 
 def run_service(seed, rate, capacity, policy, batch_policy, replicas):
+    """One Poisson run; returns the service and the requests offered."""
     service = InferenceService(
         LATENCY,
         n_replicas=replicas,
@@ -39,10 +41,10 @@ def run_service(seed, rate, capacity, policy, batch_policy, replicas):
         queue_capacity=capacity,
         queue_policy=policy,
         seed=seed,
-        keep_requests=True,
     )
+    offered = record_offers(service)
     service.run(PoissonWorkload(rate, deadline_s=0.05, seed=seed), 1.0)
-    return service
+    return service, offered
 
 
 service_params = {
@@ -61,25 +63,21 @@ class TestConservation:
     def test_no_request_lost_or_double_served(
         self, seed, rate, capacity, policy, batch_policy, replicas
     ):
-        service = run_service(
+        service, offered = run_service(
             seed, rate, capacity, policy, batch_policy, replicas
         )
         # Every submitted request ends in exactly one terminal status...
-        assert all(
-            r.status in TERMINAL_STATUSES for r in service.requests
-        )
+        assert all(r.status in TERMINAL_STATUSES for r in offered)
         # ...and the SLO ledger balances against the request list.
-        by_status = Counter(r.status for r in service.requests)
+        by_status = Counter(r.status for r in offered)
         slo = service.slo
-        assert slo.offered == len(service.requests)
+        assert slo.offered == len(offered)
         assert slo.completed == by_status[RequestStatus.COMPLETED]
         assert slo.offered == slo.completed + slo.losses
         # No double service: completed requests belong to exactly one
         # batch, and with no faults every batch the registry counted
         # completed.
-        completed = [
-            r for r in service.requests if r.status is RequestStatus.COMPLETED
-        ]
+        completed = [r for r in offered if r.status is RequestStatus.COMPLETED]
         assert all(r.batch_id for r in completed)
         batches = {r.batch_id for r in completed}
         assert len(batches) == service.metrics.count("serve.batches")
@@ -89,13 +87,11 @@ class TestConservation:
     def test_batches_never_exceed_cap(
         self, seed, rate, capacity, policy, batch_policy, replicas
     ):
-        service = run_service(
+        _, offered = run_service(
             seed, rate, capacity, policy, batch_policy, replicas
         )
         sizes = Counter(
-            r.batch_id
-            for r in service.requests
-            if r.status is RequestStatus.COMPLETED
+            r.batch_id for r in offered if r.status is RequestStatus.COMPLETED
         )
         cap = 1 if batch_policy == "single" else 32
         assert all(size <= cap for size in sizes.values())
@@ -124,14 +120,12 @@ class TestFifoWithinPriority:
     def test_dispatch_order_fifo_within_class(
         self, seed, rate, capacity, policy, batch_policy, replicas
     ):
-        service = run_service(
+        _, offered = run_service(
             seed, rate, capacity, policy, batch_policy, replicas
         )
         # Per replica and priority class, dispatch order follows admission.
         per_key = {}
-        completed = [
-            r for r in service.requests if r.status is RequestStatus.COMPLETED
-        ]
+        completed = [r for r in offered if r.status is RequestStatus.COMPLETED]
         for request in sorted(
             completed, key=lambda r: (r.dispatched_s, r.batch_id)
         ):
@@ -147,10 +141,10 @@ class TestSeedDeterminism:
     @given(seed=st.integers(0, 2**16))
     def test_identical_seeds_identical_traces(self, seed):
         def trace():
-            service = run_service(seed, 500.0, 32, "drop", "adaptive", 2)
+            _, offered = run_service(seed, 500.0, 32, "drop", "adaptive", 2)
             return [
                 (r.request_id, r.status.value, r.completed_s, r.batch_id)
-                for r in service.requests
+                for r in offered
             ]
 
         assert trace() == trace()
@@ -169,7 +163,9 @@ class PerTickFleet(VehicleFleetWorkload):
     """The vehicle loop as it was: a new event and closure every tick.
 
     Only the phases and the counters' initial state come from the class
-    under test; the loop and the outcome handlers are copies.
+    under test; the loop and the outcome handlers are copies.  A
+    :class:`TickLog` observes the streaks and the fresh-tick timeline of
+    both loops alike.
     """
 
     def start(self, service, until_s):
@@ -192,20 +188,9 @@ class PerTickFleet(VehicleFleetWorkload):
         scheduler = self._service.scheduler
         now = scheduler.clock.now
         self.ticks += 1
-        stale = self._outstanding[vehicle]
-        bucket = self._buckets.setdefault(
-            int(now // self.timeline_bucket_s), [0, 0]
-        )
-        bucket[0] += 0 if stale else 1
-        bucket[1] += 1
-        if stale:
+        if self._outstanding[vehicle]:
             self.stale_ticks += 1
-            self._streaks[vehicle] += 1
-            self.max_stale_streak = max(
-                self.max_stale_streak, self._streaks[vehicle]
-            )
         else:
-            self._streaks[vehicle] = 0
             self._count += 1
             frame = None
             if self._frames is not None:
@@ -225,9 +210,7 @@ class PerTickFleet(VehicleFleetWorkload):
             )
 
     def on_response(self, request):
-        vehicle = int(request.source[4:])
-        self._outstanding[vehicle] = False
-        self._streaks[vehicle] = 0
+        self._outstanding[int(request.source[4:])] = False
 
     def on_loss(self, request):
         self._outstanding[int(request.source[4:])] = False
@@ -299,14 +282,14 @@ class ScriptedService:
             self.workload.on_loss(request)
 
 
-def fleet_readings(workload):
+def fleet_readings(workload, log):
     return {
         "requests": workload.submitted,
         "ticks": workload.ticks,
         "stale_ticks": workload.stale_ticks,
-        "max_stale_streak": workload.max_stale_streak,
+        "max_stale_streak": log.max_stale_streak,
         "stale_ratio": workload.stale_ratio,
-        "timeline": workload.fresh_ratio_timeline(),
+        "timeline": log.fresh_ratio_timeline(),
     }
 
 
@@ -316,12 +299,13 @@ def drive_fleet(fleet_cls, n_vehicles, dt, deadline_ticks, seed, until_s,
         n_vehicles, dt=dt, deadline_ticks=deadline_ticks, seed=seed
     )
     service = ScriptedService(workload, script, until_s)
+    log = TickLog.attach(workload)
     workload.start(service, until_s)
     service.scheduler.run_until(read_s)
-    mid_run = fleet_readings(workload)
+    mid_run = fleet_readings(workload, log)
     service.scheduler.run_until(until_s)
     service.scheduler.run_all()
-    return service.trace, mid_run, fleet_readings(workload)
+    return service.trace, mid_run, fleet_readings(workload, log)
 
 
 script_step = st.tuples(

@@ -6,7 +6,8 @@ counting what the scheduler fires and creates keeps a per-tick
 allocation from coming back unnoticed.  The service keeps its routable
 set between placements; comparing it with a full scan after every
 event and at every placement of a randomized fault run, autoscaler
-on, keeps a missed invalidation from going unnoticed.
+on, keeps a missed invalidation from going unnoticed.  The same run
+checks the serving state each replica holds at every event.
 """
 
 from collections import Counter
@@ -20,8 +21,9 @@ from repro.faults import FaultInjector, FaultPlan
 from repro.faults.breaker import BreakerState
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sched import instrument_scheduler
+from repro.obs.tracer import Tracer
 from repro.serve.autoscale import AutoscalePolicy, Autoscaler
-from repro.serve.replica import BatchLatencyModel
+from repro.serve.replica import BatchLatencyModel, ReplicaState
 from repro.serve.service import InferenceService
 from repro.serve.workload import VehicleFleetWorkload
 from repro.testbed.hardware import GPU_SPECS
@@ -74,11 +76,21 @@ def full_scan(service, now):
     for replica in service.replicas:
         if not replica.routable or replica.is_hung(now):
             continue
-        breaker = service.breaker_for(replica.replica_id)
-        if breaker is not None and not breaker.peek(now):
+        if replica.breaker is not None and not replica.breaker.peek(now):
             continue
         out.append(replica)
     return out
+
+
+def check_replica_state(replica, now):
+    """A pending completion exactly while a batch is in flight, and
+    neither a batch nor a wake once the replica has failed or retired."""
+    where = (now, replica.replica_id)
+    completion = replica.completion
+    pending = completion is not None and not completion.cancelled
+    assert pending == bool(replica.inflight), where
+    if replica.state in (ReplicaState.FAILED, ReplicaState.RETIRED):
+        assert not replica.inflight and replica.wake is None, where
 
 
 @pytest.mark.parametrize(
@@ -93,11 +105,15 @@ def test_kept_routable_set_matches_a_full_scan(seed, provision_delay_s):
         rng=seed,
         n_faults=6,
     )
+    scheduler = EventScheduler()
+    tracer = Tracer(scheduler.clock)
     service = InferenceService(
         BatchLatencyModel.from_gpu(GPU_SPECS["V100"], 1e8),
+        scheduler=scheduler,
         n_replicas=replicas,
         seed=seed,
         injector=FaultInjector(plan, seed=seed),
+        tracer=tracer,
     )
     autoscaler = Autoscaler(service, AutoscalePolicy(
         min_replicas=replicas - 1, max_replicas=2 * replicas,
@@ -109,6 +125,8 @@ def test_kept_routable_set_matches_a_full_scan(seed, provision_delay_s):
     def check(_event=None):
         now = service.scheduler.clock.now
         assert service.routable_replicas() == full_scan(service, now), now
+        for replica in service.replicas:
+            check_replica_state(replica, now)
         checked.append(now)
 
     route = service.router.route
@@ -128,11 +146,16 @@ def test_kept_routable_set_matches_a_full_scan(seed, provision_delay_s):
         autoscaler=autoscaler,
     )
     check()
+    # The drain leaves no batch, wake or batch span behind.
+    for replica in service.replicas:
+        assert not replica.inflight and replica.completion is None
+        assert replica.wake is None and replica.batch_span is None
+    assert not [span for span in tracer.open_spans if span.name == "serve.batch"]
     assert len(checked) > 1000
     assert service.crashes and service.hangs
     assert autoscaler.scale_ups and autoscaler.scale_downs
     assert any(
         to is BreakerState.HALF_OPEN
         for replica in service.replicas
-        for _, _, to in service.breaker_for(replica.replica_id).transitions
+        for _, _, to in replica.breaker.transitions
     )

@@ -12,6 +12,7 @@ from repro.serve.request import Request, RequestStatus, TERMINAL_STATUSES
 from repro.serve.service import InferenceService
 from repro.serve.workload import PoissonWorkload, VehicleFleetWorkload
 from repro.testbed.hardware import GPU_SPECS
+from tests.conftest import record_offers
 
 GPU_MODEL = BatchLatencyModel.from_gpu(GPU_SPECS["V100"], 1e8)
 
@@ -24,19 +25,19 @@ def make_service(**kw):
 class TestLifecycle:
     def test_open_loop_run_completes_everything(self, chaos_service):
         service = chaos_service(n_replicas=2)
+        offered = record_offers(service)
         summary = service.run(PoissonWorkload(400.0, seed=5), 3.0)
         assert summary.offered > 1000
         assert summary.completed == summary.offered
         assert summary.dropped == summary.expired == 0
-        assert all(
-            r.status is RequestStatus.COMPLETED for r in service.requests
-        )
+        assert all(r.status is RequestStatus.COMPLETED for r in offered)
 
     def test_every_request_reaches_a_terminal_status(self, chaos_service):
         service = chaos_service(n_replicas=1, queue_capacity=8)
+        offered = record_offers(service)
         service.run(PoissonWorkload(3000.0, deadline_s=0.02, seed=5), 1.0)
-        assert service.requests
-        assert all(r.status in TERMINAL_STATUSES for r in service.requests)
+        assert offered
+        assert all(r.status in TERMINAL_STATUSES for r in offered)
         slo = service.slo
         assert slo.offered == slo.completed + slo.losses
 
@@ -54,11 +55,14 @@ class TestLifecycle:
 
     def test_completing_a_request_twice_raises(self, chaos_service):
         service = chaos_service(n_replicas=1)
+        offered = record_offers(service)
         service.run(PoissonWorkload(50.0, seed=5), 0.5)
-        done = service.requests[0]
+        done = offered[0]
         assert done.status is RequestStatus.COMPLETED
+        replica = service.replicas[0]
+        replica.inflight = (done,)
         with pytest.raises(ServeError, match="completed while completed"):
-            service._complete(service.replicas[0], [done], 0.01)
+            service._complete(replica)
 
     def test_closed_loop_fleet(self):
         service = make_service(n_replicas=4)
@@ -181,18 +185,14 @@ class TestBatchingWins:
 class TestRealModelServing:
     def test_commands_match_direct_prediction(self, trained_linear):
         h, w, _ = trained_linear.input_shape
-        service = make_service(
-            n_replicas=2, model=trained_linear, keep_requests=True
-        )
+        service = make_service(n_replicas=2, model=trained_linear)
+        offered = record_offers(service)
         workload = PoissonWorkload(
             60.0, deadline_s=0.2, seed=5, frame_shape=(h, w, 3)
         )
         summary = service.run(workload, 1.0)
         assert summary.completed > 20
-        completed = [
-            r for r in service.requests
-            if r.status is RequestStatus.COMPLETED
-        ]
+        completed = [r for r in offered if r.status is RequestStatus.COMPLETED]
         frames = np.stack([r.frame for r in completed])
         expected = trained_linear.predict_frames(frames)
         got = np.array([[r.angle, r.throttle] for r in completed])
