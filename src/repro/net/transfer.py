@@ -24,7 +24,7 @@ from repro.faults.injector import FaultInjector
 from repro.faults.plan import FaultKind
 from repro.faults.retry import RetryPolicy, call_with_resilience
 from repro.net.topology import Route
-from repro.obs.span import STATUS_ERROR, Span
+from repro.obs.span import STATUS_ERROR
 from repro.obs.tracer import NullTracer, Tracer
 
 __all__ = [
@@ -98,57 +98,63 @@ def _tub_wire_bytes(tub: Tub, as_jpeg: bool) -> tuple[int, int, int]:
     return logical, wire, files
 
 
-def _traced_transfer(
+def _transfer(
     name: str,
-    tracer: Tracer,
-    attempt,
-    retry: RetryPolicy | None,
-    breaker: CircuitBreaker | None,
+    nbytes: int,
+    route: Route,
     clock: Clock | None,
     gen,
+    injector: FaultInjector | None,
+    retry: RetryPolicy | None,
+    breaker: CircuitBreaker | None,
     deadline_s: float | None,
-    target: str,
+    tracer: Tracer | None,
+    extra_s: float = 0.0,
     **attrs,
-) -> tuple[float, Span]:
-    """Run the resilience loop inside a ``net.*`` span.
+) -> float:
+    """Move ``nbytes`` over ``route`` inside a ``net.*`` span; its seconds.
 
-    The span covers retries and backoff (the clock advances inside the
-    loop), records the attempt count and — when a breaker guards the
-    route — its state at exit, and carries error status with the
-    exception type when the loop gives up.  On success the span is
-    returned still open so the caller can stamp the final duration
-    (rsync adds a per-file checksum cost after the loop).
+    The span opens on ``tracer`` (a null tracer when None) under the
+    caller's open span (a pipeline stage, say), which the transfer ends
+    within.  It covers retries and backoff (the clock advances inside
+    the loop) and records the attempt count and the guarding breaker's
+    state at exit.  When the loop gives up, the span ends in error with
+    the exception type.  Otherwise ``extra_s`` (rsync's per-file
+    checksum cost) is added, and the clock advances by the total, which
+    the span records as ``seconds``.
     """
-    tries = {"n": 0}
+    trc = tracer if tracer is not None else NullTracer()
+    target = route_target(route)
+    span = trc.start(name, parent=trc.current(), target=target, **attrs)
+    attempts = 0
 
-    def counted() -> float:
-        tries["n"] += 1
-        return attempt()
+    def attempt() -> float:
+        nonlocal attempts
+        attempts += 1
+        now = clock.now if clock is not None else 0.0
+        return _wire_seconds(nbytes, route, gen, injector, now)
 
-    # Nest under the caller's context span (a pipeline stage, say):
-    # the transfer completes before the caller returns, so containment
-    # holds in both call structure and simulated time.
-    span = tracer.start(name, parent=tracer.current(), target=target, **attrs)
-    try:
-        seconds = call_with_resilience(
-            counted,
-            retry=retry,
-            breaker=breaker,
-            clock=clock,
-            rng=gen,
-            deadline_s=deadline_s,
-            target=target,
-        )
-    except ReproError as exc:
-        span.attrs["attempts"] = tries["n"]
+    def record_exit() -> None:
+        span.attrs["attempts"] = attempts
         if breaker is not None:
             span.attrs["breaker"] = breaker.state
-        tracer.end(span, status=STATUS_ERROR, error=type(exc).__name__)
+
+    try:
+        seconds = call_with_resilience(
+            attempt, retry=retry, breaker=breaker, clock=clock, rng=gen,
+            deadline_s=deadline_s, target=target,
+        )
+    except ReproError as exc:
+        record_exit()
+        trc.end(span, status=STATUS_ERROR, error=type(exc).__name__)
         raise
-    span.attrs["attempts"] = tries["n"]
-    if breaker is not None:
-        span.attrs["breaker"] = breaker.state
-    return seconds, span
+    record_exit()
+    seconds += extra_s
+    if clock is not None:
+        clock.advance(seconds)
+    span.attrs["seconds"] = seconds
+    trc.end(span)
+    return seconds
 
 
 def rsync_tub(
@@ -185,46 +191,13 @@ def rsync_tub(
         raise TransferError(
             f"already_synced_fraction must be in [0, 1]: {already_synced_fraction}"
         )
-    gen = ensure_rng(rng)
-    trc = tracer if tracer is not None else NullTracer()
     logical, wire, files = _tub_wire_bytes(tub, as_jpeg)
     wire = int(wire * (1.0 - already_synced_fraction))
-
-    def attempt() -> float:
-        now = clock.now if clock is not None else 0.0
-        return _wire_seconds(wire, route, gen, injector, now)
-
-    span = None
-    if trc.enabled:
-        seconds, span = _traced_transfer(
-            "net.rsync",
-            trc,
-            attempt,
-            retry,
-            breaker,
-            clock,
-            gen,
-            deadline_s,
-            route_target(route),
-            files=files,
-            nbytes_wire=wire,
-        )
-    else:
-        seconds = call_with_resilience(
-            attempt,
-            retry=retry,
-            breaker=breaker,
-            clock=clock,
-            rng=gen,
-            deadline_s=deadline_s,
-            target=route_target(route),
-        )
-    seconds += files * _RSYNC_PER_FILE_S
-    if clock is not None:
-        clock.advance(seconds)
-    if span is not None:
-        span.attrs["seconds"] = seconds
-        trc.end(span)
+    seconds = _transfer(
+        "net.rsync", wire, route, clock, ensure_rng(rng), injector, retry,
+        breaker, deadline_s, tracer, extra_s=files * _RSYNC_PER_FILE_S,
+        files=files, nbytes_wire=wire,
+    )
     return TransferResult(
         nbytes_logical=logical,
         nbytes_wire=wire,
@@ -253,42 +226,10 @@ def scp_bytes(
     """
     if nbytes < 0:
         raise TransferError(f"negative payload: {nbytes}")
-    gen = ensure_rng(rng)
-    trc = tracer if tracer is not None else NullTracer()
-
-    def attempt() -> float:
-        now = clock.now if clock is not None else 0.0
-        return _wire_seconds(nbytes, route, gen, injector, now)
-
-    span = None
-    if trc.enabled:
-        seconds, span = _traced_transfer(
-            "net.scp",
-            trc,
-            attempt,
-            retry,
-            breaker,
-            clock,
-            gen,
-            deadline_s,
-            route_target(route),
-            nbytes_wire=nbytes,
-        )
-    else:
-        seconds = call_with_resilience(
-            attempt,
-            retry=retry,
-            breaker=breaker,
-            clock=clock,
-            rng=gen,
-            deadline_s=deadline_s,
-            target=route_target(route),
-        )
-    if clock is not None:
-        clock.advance(seconds)
-    if span is not None:
-        span.attrs["seconds"] = seconds
-        trc.end(span)
+    seconds = _transfer(
+        "net.scp", nbytes, route, clock, ensure_rng(rng), injector, retry,
+        breaker, deadline_s, tracer, nbytes_wire=nbytes,
+    )
     return TransferResult(
         nbytes_logical=nbytes,
         nbytes_wire=nbytes,
