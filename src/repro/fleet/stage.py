@@ -87,7 +87,7 @@ class VersionScoreboard:
         return acc
 
     def record_offered(self, version: str) -> None:
-        """A request was routed toward ``version``."""
+        """A request was offered to ``version``."""
         self._get(version).offered += 1
 
     def record_completion(
@@ -139,9 +139,9 @@ class StageHarness(Workload):
     service: ``submit`` attaches a labelled eval-pool frame, remembers
     the expert angle by request id, optionally mirrors the request as a
     pinned shadow clone at ``shadow_version``, and forwards to the real
-    service.  Responses are scored on the scoreboard by the serving
-    replica's model version; only primary responses reach the inner
-    closed loop.
+    service.  Offers, responses and losses are scored on the scoreboard
+    by the request's version (:meth:`_version_for`); only primary
+    responses reach the inner closed loop.
     """
 
     provides_frames = True
@@ -183,8 +183,8 @@ class StageHarness(Workload):
         request.frame = self._frames[index]
         expert = float(self._experts[index])
         self._pending[request.request_id] = expert
-        self.scoreboard.record_offered(self._route_version(request))
         admitted = self._service.submit(request)
+        self.scoreboard.record_offered(self._version_for(request))
         if self.shadow_version:
             clone = Request(
                 request_id=f"shd-{request.request_id}",
@@ -196,16 +196,10 @@ class StageHarness(Workload):
                 pin_version=self.shadow_version,
             )
             self._pending[clone.request_id] = expert
-            self.scoreboard.record_offered(self.shadow_version)
             self.shadows_sent += 1
             self._service.submit(clone)
+            self.scoreboard.record_offered(self._version_for(clone))
         return admitted
-
-    def _route_version(self, request: Request) -> str:
-        """Best-effort version attribution at offer time."""
-        if request.pin_version:
-            return request.pin_version
-        return "primary"
 
     # --------------------------------------------- workload interface
 
@@ -228,27 +222,27 @@ class StageHarness(Workload):
         self._service = service
         self._inner.start(self, until_s)
 
-    def _version_of(self, replica_id: str) -> str:
-        version = self._versions.get(replica_id)
-        if version is None:
-            version = self._service.version_of(replica_id)
-            self._versions[replica_id] = version
-        return version
+    def _version_for(self, request: Request) -> str:
+        """The pinned version, else the routed replica's, else unrouted."""
+        version = request.pin_version
+        if not version and request.replica_id:
+            version = self._versions.get(request.replica_id)
+            if version is None:
+                version = self._service.version_of(request.replica_id)
+                self._versions[request.replica_id] = version
+        return version if version else "unrouted"
 
     def on_response(self, request: Request) -> None:
         expert = self._pending.pop(request.request_id, None)
         if expert is not None:
             self.scoreboard.record_completion(
-                self._version_of(request.replica_id), request, expert
+                self._version_for(request), request, expert
             )
         if not request.source.startswith(SHADOW_PREFIX):
             self._inner.on_response(request)
 
     def on_loss(self, request: Request) -> None:
         self._pending.pop(request.request_id, None)
-        version = request.pin_version
-        if not version and request.replica_id:
-            version = self._version_of(request.replica_id)
-        self.scoreboard.record_loss(version if version else "unrouted")
+        self.scoreboard.record_loss(self._version_for(request))
         if not request.source.startswith(SHADOW_PREFIX):
             self._inner.on_loss(request)

@@ -27,6 +27,7 @@ from repro.fleet import (
 )
 from repro.fleet.dataplane import FleetDataPlane, IngestStage
 from repro.fleet.gates import GateThresholds
+from repro.fleet.stage import StageHarness
 from repro.obs.metrics import MetricsRegistry
 
 # Small but real: 4 vehicles x 2 flushes x 12 records per round, three
@@ -148,6 +149,43 @@ class TestFaultInducedRollback:
         assert json.dumps(a.to_dict(), sort_keys=True) == json.dumps(
             b.to_dict(), sort_keys=True
         )
+
+
+class TestStageAccounting:
+    """Each stage scores an offer under the version that serves it."""
+
+    def test_offers_balance_per_version(self, monkeypatch):
+        harnesses = []
+        start = StageHarness.start
+
+        def start_recorded(harness, service, until_s):
+            harnesses.append(harness)
+            start(harness, service, until_s)
+
+        monkeypatch.setattr(StageHarness, "start", start_recorded)
+        summary = run(canary_fault_plans=((3, CANARY_CRASH),))
+        stages = [
+            stage
+            for report in summary.rounds[1:]
+            for stage in report.rollout.stages
+        ]
+        assert [stage.crashes for stage in stages] == [0, 0, 0, 1]
+        assert len(harnesses) == len(stages)
+        for stage, harness in zip(stages, harnesses):
+            board = harness.scoreboard
+            served = {stage.candidate.version, stage.baseline.version}
+            # No offer lands on a version no replica of the stage serves.
+            assert set(board.versions()) <= served, stage.stage
+            if stage.crashes:
+                # A rescued request is offered to one version and may be
+                # answered by another.
+                continue
+            for version in served:
+                stats = board.stats(version)
+                assert stats.offered > 0, (stage.stage, version)
+                assert stats.offered == stats.completed + stats.losses, (
+                    stage.stage, version,
+                )
 
 
 class TestStoreFaults:
