@@ -97,9 +97,9 @@ serve summary
 """
 
 #: sha256 of ``fleet --rounds 2 --vehicles 4 --stage-vehicles 4
-#: --crash-canary-round 2 --json --seed 3`` (4393 bytes of JSON).
+#: --crash-canary-round 2 --json --seed 3`` (4395 bytes of JSON).
 FLEET_JSON_SHA256 = (
-    "8f8436ecfd45d9790590316d5de5ee6dd4657a892065b53a35d1ecea68885284"
+    "ac536bc95d8bea99ecf0afe357b6214ad2007f0b779ec11c99877bdc9fbc46ca"
 )
 
 #: ``trace serve-load --seed 0``: its summary, then the files it writes.
