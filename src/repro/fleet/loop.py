@@ -38,6 +38,7 @@ from repro.fleet.dataplane import (
 )
 from repro.fleet.registry import TAG_STABLE, ModelRegistry
 from repro.fleet.rollout import (
+    OUTCOME_PROMOTED,
     OUTCOME_ROLLED_BACK,
     RolloutController,
     RolloutReport,
@@ -67,7 +68,11 @@ class RoundReport:
 
 @dataclass(frozen=True)
 class FleetSummary:
-    """Deterministic end-of-run report for one continuum-loop run."""
+    """Deterministic end-of-run report for one continuum-loop run.
+
+    The five totals are the run's ``fleet.*`` counters; a promotion is
+    any round that moved ``stable`` to its candidate, bootstrap included.
+    """
 
     rounds: tuple[RoundReport, ...]
     elapsed_s: float
@@ -204,7 +209,7 @@ class FleetLoop:
                 if self.trainer.should_train(ingest.fresh_records):
                     train = self.trainer.train_round(round_no)
                     rollout = self.rollout.run_round(round_no)
-                    if rollout.new_stable == train.version:
+                    if rollout.outcome == OUTCOME_PROMOTED:
                         latency_s = (
                             self.scheduler.clock.now - train.published_at_s
                         )
@@ -224,24 +229,15 @@ class FleetLoop:
             )
             self._rounds.inc()
         final_stable = self.registry.resolve(TAG_STABLE)
+        count = self.metrics.count
         summary = FleetSummary(
             rounds=tuple(reports),
             elapsed_s=self.scheduler.clock.now - start,
-            records_flushed=sum(r.collect.flushed_records for r in reports),
-            records_ingested=sum(r.ingest.fresh_records for r in reports),
-            candidates_published=sum(1 for r in reports if r.train is not None),
-            promotions=sum(
-                1
-                for r in reports
-                if r.rollout is not None
-                and r.rollout.new_stable == r.rollout.candidate_version
-            ),
-            rollbacks=sum(
-                1
-                for r in reports
-                if r.rollout is not None
-                and r.rollout.outcome == OUTCOME_ROLLED_BACK
-            ),
+            records_flushed=count("fleet.flushed_records"),
+            records_ingested=count("fleet.fresh_records"),
+            candidates_published=count("fleet.candidates"),
+            promotions=count("fleet.promotions"),
+            rollbacks=count("fleet.rollbacks"),
             final_stable=final_stable if final_stable is not None else 0,
         )
         _check_summary(config, summary)

@@ -131,9 +131,10 @@ class RolloutController:
         stable = self.registry.resolve(TAG_STABLE)
         if stable is None:
             # Bootstrap: an empty fleet has nothing to gate against — the
-            # first checkpoint becomes stable directly.
+            # first checkpoint becomes stable directly, a promotion too.
             self.registry.tag(TAG_STABLE, candidate)
             self.registry.untag(TAG_CANDIDATE)
+            self._promotions.inc()
             return RolloutReport(
                 round_no=round_no,
                 candidate_version=candidate,

@@ -94,11 +94,16 @@ class TestPromotionLoop:
     def test_metrics_counters(self):
         config = FleetConfig(seed=0, **BASE)
         metrics = MetricsRegistry()
-        FleetLoop(config, metrics=metrics).run()
+        summary = FleetLoop(config, metrics=metrics).run()
         counters = metrics.snapshot()["counters"]
         assert counters["fleet.rounds"] == 3
-        assert counters["fleet.promotions"] == 2
+        # The bootstrap is a promotion too, as the summary counts it.
+        assert counters["fleet.promotions"] == 3 == summary.promotions
         assert counters["fleet.candidates"] == 3
+        # Only gated promotions have a latency.
+        latency = metrics.find("fleet.promotion_latency_s").hist
+        assert latency.count == 2
+        assert summary.mean_promotion_latency_s == latency.mean_s
 
 
 class TestDegradedCandidateRollback:
