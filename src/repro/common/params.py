@@ -1,9 +1,10 @@
-"""The one rule that refuses a bad number in a setting.
+"""The rules that refuse a bad number in a setting.
 
 A config dataclass checks its own numbers with :func:`check_numbers`,
 and a scenario runner checks each param it reads with
 :func:`number_param`, so a setting is refused the same way whether it
-comes from a spec file or is built in code.
+comes from a spec file or is built in code.  A frame size is checked
+by :func:`frame_hw_param`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import fields
 
 from repro.common.errors import ConfigurationError
 
-__all__ = ["number_param", "check_numbers"]
+__all__ = ["number_param", "frame_hw_param", "check_numbers"]
 
 
 def number_param(
@@ -36,6 +37,30 @@ def number_param(
             f"{'> 0' if positive else '>= 0'}, got {value!r}"
         )
     return int(value) if whole else float(value)
+
+
+def frame_hw_param(value, name: str) -> tuple[int, int]:
+    """``value`` as a frame size ``(H, W)``, refused unless two whole
+    numbers ``>= 5`` (the smallest frame a model backbone takes).
+
+    ``name`` is the setting's full name, as the message reports it.
+    """
+    if not (
+        isinstance(value, (tuple, list))
+        and len(value) == 2
+        and all(
+            isinstance(side, (int, float))
+            and not isinstance(side, bool)
+            and math.isfinite(side)
+            and side == int(side)
+            and side >= 5
+            for side in value
+        )
+    ):
+        raise ConfigurationError(
+            f"{name} must be two whole numbers >= 5, got {value!r}"
+        )
+    return int(value[0]), int(value[1])
 
 
 def check_numbers(config) -> None:

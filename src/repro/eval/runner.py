@@ -37,6 +37,7 @@ from typing import Any
 
 from repro.common.clock import EventScheduler
 from repro.common.errors import ConfigurationError, NoSuchResourceError
+from repro.common.params import frame_hw_param
 from repro.eval.drive import run_drive
 from repro.eval.library import net_route
 from repro.eval.spec import ScenarioSpec, check_keys, resolve_params
@@ -137,6 +138,7 @@ def _run_pipeline(
     from repro.testbed.chameleon import Chameleon
 
     params = resolve_params(spec.params, PIPELINE_PARAMS, _where(spec))
+    camera_hw = frame_hw_param(params["camera_hw"], f"{_where(spec)}.camera_hw")
     chameleon = Chameleon()
     tracer, metrics = _instrumentation(chameleon.clock, instrument)
     pathway = str(params["pathway"])
@@ -145,7 +147,7 @@ def _run_pipeline(
         work_dir,
         n_records=params["n_records"],
         epochs=params["epochs"],
-        camera_hw=tuple(params["camera_hw"]),
+        camera_hw=camera_hw,
         model_scale=params["model_scale"],
         eval_ticks=params["eval_ticks"],
         seed=seed,

@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigurationError
-from repro.common.params import check_numbers
+from repro.common.params import check_numbers, frame_hw_param
 from repro.common.rng import DEFAULT_SEED
 from repro.faults.plan import FaultPlan
 from repro.fleet.gates import GateThresholds
-from repro.fleet.world import frame_hw_param
 
 __all__ = ["FleetConfig"]
 
@@ -60,7 +59,7 @@ class FleetConfig:
     field is refused at construction unless finite, ``>= 0`` and, for a
     count, whole (:func:`~repro.common.params.check_numbers`), as is a
     ``frame_hw`` that is not two whole numbers ``>= 5``
-    (:func:`~repro.fleet.world.frame_hw_param`, the world's own check).
+    (:func:`~repro.common.params.frame_hw_param`, the world's own check).
     """
 
     # ------------------------------------------------------- data plane
@@ -100,7 +99,9 @@ class FleetConfig:
 
     def __post_init__(self) -> None:
         check_numbers(self)
-        object.__setattr__(self, "frame_hw", frame_hw_param(self.frame_hw))
+        object.__setattr__(
+            self, "frame_hw", frame_hw_param(self.frame_hw, "frame_hw")
+        )
         for name in _COUNTS:
             value = getattr(self, name)
             if value < 1:

@@ -30,35 +30,15 @@ from collections.abc import Iterable
 import numpy as np
 
 from repro.common.errors import ConfigurationError
+from repro.common.params import frame_hw_param
 from repro.common.rng import ensure_rng
 
-__all__ = ["SyntheticTrackWorld", "frame_hw_param"]
+__all__ = ["SyntheticTrackWorld"]
 
 #: Float64 values one broadcast of the pixel arithmetic holds: a chunk is
 #: as many whole cars as fit, and at least one.  A whole-wave broadcast
 #: of large frames falls out of cache and runs slower than chunks.
 _CHUNK_VALUES = 1 << 16
-
-
-def frame_hw_param(value) -> tuple[int, int]:
-    """``value`` as a frame size ``(H, W)``, refused unless two whole
-    numbers ``>= 5`` (the smallest frame a model backbone takes)."""
-    if not (
-        isinstance(value, (tuple, list))
-        and len(value) == 2
-        and all(
-            isinstance(side, (int, float))
-            and not isinstance(side, bool)
-            and math.isfinite(side)
-            and side == int(side)
-            and side >= 5
-            for side in value
-        )
-    ):
-        raise ConfigurationError(
-            f"frame_hw must be two whole numbers >= 5, got {value!r}"
-        )
-    return int(value[0]), int(value[1])
 
 
 class SyntheticTrackWorld:
@@ -72,7 +52,7 @@ class SyntheticTrackWorld:
         k_offset: float = 0.9,
         k_curv: float = 0.35,
     ) -> None:
-        h, w = frame_hw_param(frame_hw)
+        h, w = frame_hw_param(frame_hw, "frame_hw")
         if not (math.isfinite(noise) and noise >= 0):
             raise ConfigurationError(f"noise must be finite and >= 0, got {noise}")
         if not (math.isfinite(k_offset) and math.isfinite(k_curv)):

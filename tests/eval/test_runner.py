@@ -146,6 +146,24 @@ def test_bad_table_number_names_the_param(base, key, value):
 
 
 @pytest.mark.parametrize(
+    "value",
+    ["ab", [24.5, 32], [0, 32], [4, 32], [24, 32, 3]],
+    ids=["text", "fraction", "zero", "too-small", "three-sides"],
+)
+def test_bad_camera_hw_names_the_param(value):
+    # Refused before anything runs: a type, a fraction, a side the model
+    # backbones cannot take, or a third side that would be dropped.
+    spec = scenario_spec("pipeline-quickstart").with_overrides(
+        {"camera_hw": value}
+    )
+    with pytest.raises(
+        ConfigurationError,
+        match=r"'pipeline-quickstart' params\.camera_hw must be two whole",
+    ):
+        run_scenario(spec)
+
+
+@pytest.mark.parametrize(
     ("key", "value"), [("min_replicas", 0), ("interval_s", float("nan"))]
 )
 def test_bad_autoscale_number_names_the_param(key, value):
