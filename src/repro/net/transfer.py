@@ -114,14 +114,15 @@ def _transfer(
 ) -> float:
     """Move ``nbytes`` over ``route`` inside a ``net.*`` span; its seconds.
 
-    The span opens on ``tracer`` (a null tracer when None) under the
-    caller's open span (a pipeline stage, say), which the transfer ends
-    within.  It covers retries and backoff (the clock advances inside
-    the loop) and records the attempt count and the guarding breaker's
-    state at exit.  When the loop gives up, the span ends in error with
-    the exception type.  Otherwise ``extra_s`` (rsync's per-file
-    checksum cost) is added, and the clock advances by the total, which
-    the span records as ``seconds``.
+    The span opens on ``tracer`` (a null tracer when None) as a child of
+    the caller's open span (a pipeline stage, say): the transfer ends
+    before the caller returns, so containment holds in call structure
+    and in simulated time.  It covers retries and backoff (the clock
+    advances inside the loop) and records the attempt count and, when a
+    breaker guards the route, its state at exit.  When the loop gives
+    up, the span ends in error with the exception type.  Otherwise
+    ``extra_s`` (rsync's per-file checksum cost) is added and the clock
+    advances by the total, which the span records as ``seconds``.
     """
     trc = tracer if tracer is not None else NullTracer()
     target = route_target(route)
