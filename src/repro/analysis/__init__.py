@@ -37,23 +37,18 @@ hierarchy, best-effort call graph) that passes query through
 Suppress a finding inline with ``# reprolint: disable=RL202`` (IDs or
 symbolic names, comma-separated) and configure per-rule behaviour under
 ``[tool.reprolint]`` in ``pyproject.toml``.  Run ``autolearn lint`` or
-``python -m repro.analysis``; ``--fix`` applies mechanical repairs,
-``--format sarif`` emits SARIF 2.1.0, and an incremental cache makes
-warm runs near-free.
+``python -m repro.analysis``; ``--format json`` emits a machine-readable
+report.
 """
 
 from repro.analysis.base import LintPass, all_passes, all_rules, find_rule, register
-from repro.analysis.baseline import Baseline, apply_baseline, write_baseline
-from repro.analysis.cache import LintCache
 from repro.analysis.cli import main
 from repro.analysis.config import LintConfig, RuleConfig
 from repro.analysis.context import ModuleContext, ProjectIndex
-from repro.analysis.findings import Finding, Rule, Severity, TextEdit
-from repro.analysis.fixes import FixReport, apply_fixes, fix_paths, fix_source
+from repro.analysis.findings import Finding, Rule, Severity
 from repro.analysis.graph import ModuleShard, ProjectGraph, extract_shard
 from repro.analysis.reporters import render_json, render_text
 from repro.analysis.runner import LintResult, collect_files, lint_paths, lint_source
-from repro.analysis.sarif import render_sarif, sarif_payload
 
 __all__ = [
     "LintPass",
@@ -71,22 +66,11 @@ __all__ = [
     "Finding",
     "Rule",
     "Severity",
-    "TextEdit",
     "LintResult",
     "lint_paths",
     "lint_source",
     "collect_files",
-    "FixReport",
-    "apply_fixes",
-    "fix_source",
-    "fix_paths",
-    "Baseline",
-    "apply_baseline",
-    "write_baseline",
-    "LintCache",
     "render_text",
     "render_json",
-    "render_sarif",
-    "sarif_payload",
     "main",
 ]

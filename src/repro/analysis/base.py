@@ -82,18 +82,8 @@ class LintPass(ast.NodeVisitor):
             self.visit(self.ctx.tree)
         return self.findings
 
-    def report(
-        self,
-        rule: Rule,
-        node: ast.AST,
-        message: str,
-        fixes: tuple = (),
-    ) -> None:
-        """Emit a finding at ``node`` unless suppressed.
-
-        ``fixes`` carries the :class:`~repro.analysis.findings.TextEdit`
-        spans a ``--fix`` run would apply to resolve the finding.
-        """
+    def report(self, rule: Rule, node: ast.AST, message: str) -> None:
+        """Emit a finding at ``node`` unless suppressed."""
         line = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0)
         if not self.config.rule_applies(rule, self.ctx.path):
@@ -109,6 +99,5 @@ class LintPass(ast.NodeVisitor):
                 rule_name=rule.name,
                 severity=self.config.severity_for(rule),
                 message=message,
-                fixes=tuple(fixes),
             )
         )

@@ -8,13 +8,10 @@ Invoked three ways, all sharing :func:`main`:
 
 Exit-code contract (stable; CI depends on it):
 
-* **0** — the tree is clean (no finding survived pragmas, config, and
-  the baseline), or ``--fix`` left it clean, or ``--update-baseline``
-  rewrote the baseline.
+* **0** — the tree is clean (no finding survived pragmas and config).
 * **1** — at least one finding survived.
 * **2** — usage or configuration error: unknown rule in
-  ``--select``/``--ignore``/``--disable``, unparseable pyproject or
-  baseline file.
+  ``--select``/``--ignore``/``--disable``, or an unparseable pyproject.
 """
 
 from __future__ import annotations
@@ -27,20 +24,11 @@ from pathlib import Path
 from repro.common.errors import ConfigurationError
 
 from repro.analysis.base import all_rules, find_rule
-from repro.analysis.baseline import (
-    BASELINE_FILENAME,
-    Baseline,
-    apply_baseline,
-    write_baseline,
-)
 from repro.analysis.config import LintConfig
-from repro.analysis.fixes import fix_paths
 from repro.analysis.reporters import REPORTERS
 from repro.analysis.runner import lint_paths
 
 __all__ = ["main", "build_parser", "add_lint_arguments", "run_lint_command"]
-
-CACHE_DIRNAME = ".reprolint-cache"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,35 +74,6 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         default=[],
         metavar="RULE",
         help="disable a rule by ID or name (repeatable)",
-    )
-    parser.add_argument(
-        "--fix",
-        action="store_true",
-        help="apply available auto-fixes, then report what remains",
-    )
-    parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help=f"baseline file to subtract from the report "
-        f"(default: {BASELINE_FILENAME} next to pyproject.toml)",
-    )
-    parser.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help=f"incremental-cache directory "
-        f"(default: {CACHE_DIRNAME} next to pyproject.toml)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the incremental cache for this run",
     )
     parser.add_argument(
         "--list-rules",
@@ -173,8 +132,7 @@ def _run_lint(args: argparse.Namespace) -> int:
             return 2
 
     if args.pyproject is not None:
-        pyproject = Path(args.pyproject)
-        config = LintConfig.from_pyproject(pyproject)
+        config = LintConfig.from_pyproject(Path(args.pyproject))
     else:
         anchor = Path(args.paths[0]) if args.paths else Path.cwd()
         pyproject = _find_pyproject(anchor)
@@ -187,35 +145,7 @@ def _run_lint(args: argparse.Namespace) -> int:
         config = replace(config, select=config.select + tuple(args.select))
     if args.ignore:
         config = replace(config, disable=config.disable + tuple(args.ignore))
-    paths = args.paths or list(config.include)
-
-    if args.fix:
-        # Fix runs bypass the cache: cached findings carry no fix spans,
-        # and the tree is mutating under us anyway.
-        report = fix_paths(paths, config)
-        result = report.result
-        print(report.render())
-    else:
-        cache_dir: Path | str | None = args.cache_dir
-        if cache_dir is None and pyproject is not None:
-            cache_dir = pyproject.parent / CACHE_DIRNAME
-        if args.no_cache:
-            cache_dir = None
-        result = lint_paths(paths, config, cache_dir=cache_dir)
-
-    baseline_path = (
-        Path(args.baseline)
-        if args.baseline is not None
-        else (pyproject.parent if pyproject is not None else Path.cwd())
-        / BASELINE_FILENAME
-    )
-    if args.update_baseline:
-        count = write_baseline(baseline_path, result)
-        print(f"reprolint: baseline at {baseline_path} now holds {count} finding(s)")
-        return 0
-    baseline = Baseline.load(baseline_path)
-    if len(baseline):
-        result, matched = apply_baseline(result, baseline)
+    result = lint_paths(args.paths or list(config.include), config)
     print(REPORTERS[args.format](result))
     return 0 if result.ok else 1
 

@@ -80,16 +80,19 @@ class ModuleContext:
         return ""
 
     @classmethod
-    def from_path(cls, path: Path) -> "ModuleContext":
-        source = path.read_text(encoding="utf-8")
-        tree = ast.parse(source, filename=str(path))
+    def from_source(cls, path: Path, source: str) -> "ModuleContext":
+        """Parse ``source`` as the file at ``path``; raises SyntaxError."""
         return cls(
             path=path,
             source=source,
-            tree=tree,
+            tree=ast.parse(source, filename=str(path)),
             module=_dotted_module(path),
             pragmas=parse_pragmas(source),
         )
+
+    @classmethod
+    def from_path(cls, path: Path) -> "ModuleContext":
+        return cls.from_source(path, path.read_text(encoding="utf-8"))
 
     def suppressed(self, line: int, rule) -> bool:
         """True if a pragma on ``line`` disables ``rule`` there."""
@@ -120,9 +123,8 @@ class ProjectIndex:
 
     Thin façade over :class:`repro.analysis.graph.ProjectGraph`: each
     linted file is condensed into a :class:`~repro.analysis.graph.ModuleShard`
-    (either extracted from its AST or rehydrated from the incremental
-    cache) and folded into the project-wide class hierarchy, import
-    graph, and call graph.  The class-hierarchy helpers RL203 relies on
+    and folded into the project-wide class hierarchy, import graph, and
+    call graph.  The class-hierarchy helpers RL203 relies on
     (:meth:`is_defined`, :meth:`is_repro_error`) delegate to the single
     :class:`~repro.analysis.graph.ClassHierarchy` so the resolution
     logic exists exactly once.
@@ -130,7 +132,6 @@ class ProjectIndex:
 
     def __init__(self) -> None:
         self.graph = ProjectGraph()
-        self.modules: set[str] = set()
 
     @property
     def classes(self) -> dict[str, set[str]]:
@@ -138,13 +139,8 @@ class ProjectIndex:
         return self.graph.hierarchy.classes
 
     def add_module(self, ctx: ModuleContext) -> None:
-        self.add_shard(extract_shard(str(ctx.path), ctx.module, ctx.tree))
-
-    def add_shard(self, shard) -> None:
-        """Fold an already-extracted (possibly cached) shard in."""
-        if shard.module:
-            self.modules.add(shard.module)
-        self.graph.add_shard(shard)
+        """Condense ``ctx`` into its shard and fold it in."""
+        self.graph.add_shard(extract_shard(str(ctx.path), ctx.module, ctx.tree))
 
     def is_defined(self, name: str) -> bool:
         """True if a class of this name is defined somewhere in the project."""

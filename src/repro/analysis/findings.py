@@ -11,7 +11,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-__all__ = ["Severity", "Rule", "TextEdit", "Finding"]
+__all__ = ["Severity", "Rule", "Finding"]
 
 
 class Severity(enum.Enum):
@@ -45,40 +45,6 @@ class Rule:
         return spec in (self.id, self.name, "all")
 
 
-@dataclass(frozen=True)
-class TextEdit:
-    """One span-based replacement a fixer wants to make.
-
-    Spans are (1-based line, 0-based column) half-open ranges over the
-    original source; an insertion has ``start == end``.  Edits are
-    applied by :mod:`repro.analysis.fixes` in reverse source order so
-    earlier spans stay valid.
-    """
-
-    start_line: int
-    start_col: int
-    end_line: int
-    end_col: int
-    replacement: str
-
-    @property
-    def span_key(self) -> tuple[int, int, int, int]:
-        return (self.start_line, self.start_col, self.end_line, self.end_col)
-
-    def to_dict(self) -> dict[str, object]:
-        return {
-            "start_line": self.start_line,
-            "start_col": self.start_col,
-            "end_line": self.end_line,
-            "end_col": self.end_col,
-            "replacement": self.replacement,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TextEdit":
-        return cls(**data)
-
-
 @dataclass(frozen=True, order=True)
 class Finding:
     """One violation: where it is, which rule, and what went wrong."""
@@ -90,11 +56,6 @@ class Finding:
     rule_name: str = field(compare=False)
     severity: Severity = field(compare=False)
     message: str = field(compare=False)
-    fixes: tuple[TextEdit, ...] = field(compare=False, default=(), repr=False)
-
-    @property
-    def fixable(self) -> bool:
-        return bool(self.fixes)
 
     def to_dict(self) -> dict[str, object]:
         """JSON-serialisable representation (used by the JSON reporter)."""
@@ -106,21 +67,7 @@ class Finding:
             "name": self.rule_name,
             "severity": str(self.severity),
             "message": self.message,
-            "fixable": self.fixable,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Finding":
-        """Rebuild a finding from :meth:`to_dict` output (cache rehydration)."""
-        return cls(
-            path=data["path"],
-            line=data["line"],
-            col=data["col"],
-            rule_id=data["rule"],
-            rule_name=data["name"],
-            severity=Severity(data["severity"]),
-            message=data["message"],
-        )
 
     def render(self) -> str:
         """``path:line:col: RLxxx [name] message`` (the text reporter row)."""

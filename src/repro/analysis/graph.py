@@ -6,8 +6,8 @@ simulated timestamp.  This module gives every pass whole-program
 structure without evaluating any code:
 
 * each linted file is condensed into a :class:`ModuleShard` — a plain
-  JSON-serialisable summary of its classes, imports, functions, call
-  references, scheduler callbacks, and module-level mutable state;
+  summary of its classes, imports, functions, call references,
+  scheduler callbacks, and module-level mutable state;
 * :class:`ProjectGraph` folds shards into a class hierarchy
   (:class:`ClassHierarchy`), an import graph, and a name-resolution
   call graph, then answers flow queries: which functions are reachable
@@ -15,10 +15,6 @@ structure without evaluating any code:
   module globals are written from more than one callback (the
   simulated-time race), and which module-level RNG streams are shared
   across callbacks (stream sharing).
-
-Shards — not ASTs — are the unit of caching: the incremental cache in
-:mod:`repro.analysis.cache` persists them per file so a warm lint run
-can rebuild the whole-program graph without re-parsing unchanged files.
 
 Resolution is deliberately best-effort: bare names resolve through the
 module's imports and top-level definitions, ``self.method`` resolves
@@ -31,7 +27,7 @@ from __future__ import annotations
 
 import ast
 import builtins
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 __all__ = [
     "CALLBACK_SCHEDULERS",
@@ -80,13 +76,6 @@ class CallRef:
     kind: str
     target: str
 
-    def to_json(self) -> list[str]:
-        return [self.kind, self.target]
-
-    @classmethod
-    def from_json(cls, data: list[str]) -> "CallRef":
-        return cls(kind=data[0], target=data[1])
-
 
 @dataclass
 class FunctionInfo:
@@ -97,25 +86,6 @@ class FunctionInfo:
     callbacks: list[CallRef] = field(default_factory=list)
     global_writes: list[tuple[str, int, int]] = field(default_factory=list)
     global_reads: list[str] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "line": self.line,
-            "calls": [ref.to_json() for ref in self.calls],
-            "callbacks": [ref.to_json() for ref in self.callbacks],
-            "global_writes": [list(w) for w in self.global_writes],
-            "global_reads": sorted(self.global_reads),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FunctionInfo":
-        return cls(
-            line=data["line"],
-            calls=[CallRef.from_json(ref) for ref in data["calls"]],
-            callbacks=[CallRef.from_json(ref) for ref in data["callbacks"]],
-            global_writes=[tuple(w) for w in data["global_writes"]],
-            global_reads=list(data["global_reads"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -130,7 +100,7 @@ class GlobalSlot:
 
 @dataclass
 class ModuleShard:
-    """JSON-serialisable whole-program summary of one parsed module."""
+    """Whole-program summary of one parsed module."""
 
     path: str
     module: str
@@ -141,44 +111,6 @@ class ModuleShard:
     defs: dict[str, FunctionInfo] = field(default_factory=dict)
     mutables: list[GlobalSlot] = field(default_factory=list)
     rng_slots: list[GlobalSlot] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {
-            "path": self.path,
-            "module": self.module,
-            "classes": {
-                name: {"bases": info["bases"], "methods": info["methods"]}
-                for name, info in sorted(self.classes.items())
-            },
-            "top_functions": sorted(self.top_functions),
-            "imports": sorted(self.imports),
-            "bindings": dict(sorted(self.bindings.items())),
-            "defs": {
-                qual: info.to_json() for qual, info in sorted(self.defs.items())
-            },
-            "mutables": [sorted(asdict(slot).items()) for slot in self.mutables],
-            "rng_slots": [sorted(asdict(slot).items()) for slot in self.rng_slots],
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "ModuleShard":
-        return cls(
-            path=data["path"],
-            module=data["module"],
-            classes={
-                name: {"bases": list(info["bases"]), "methods": list(info["methods"])}
-                for name, info in data["classes"].items()
-            },
-            top_functions=list(data["top_functions"]),
-            imports=list(data["imports"]),
-            bindings=dict(data["bindings"]),
-            defs={
-                qual: FunctionInfo.from_json(info)
-                for qual, info in data["defs"].items()
-            },
-            mutables=[GlobalSlot(**dict(pairs)) for pairs in data["mutables"]],
-            rng_slots=[GlobalSlot(**dict(pairs)) for pairs in data["rng_slots"]],
-        )
 
 
 # --------------------------------------------------------------- extraction
@@ -501,11 +433,6 @@ class ProjectGraph:
 
     # -- import graph
 
-    def imports_of(self, module: str) -> frozenset[str]:
-        """Modules imported by ``module`` (as written, unresolved)."""
-        shard = self.shards.get(module)
-        return frozenset(shard.imports) if shard else frozenset()
-
     def import_edges(self) -> dict[str, frozenset[str]]:
         """module -> imported modules, restricted to modules in the project."""
         known = set(self.shards)
@@ -619,18 +546,6 @@ class ProjectGraph:
         return result
 
     # -- flow analyses
-
-    def _function_info(self, qualified: str) -> tuple[str, FunctionInfo] | None:
-        """(module, info) for a qualified function name, or None."""
-        for module, shard in self.shards.items():
-            if qualified == module:
-                return module, shard.defs.get("", FunctionInfo())
-            if qualified.startswith(module + "."):
-                local = qualified[len(module) + 1:]
-                info = shard.defs.get(local)
-                if info is not None:
-                    return module, info
-        return None
 
     def flow_findings(self) -> list[FlowFinding]:
         """All determinism-race and shared-RNG hazards in the project."""

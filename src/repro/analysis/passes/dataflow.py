@@ -14,8 +14,7 @@ global at the same simulated timestamp.  Three rules catch these as
   tracked through local assignments inside each scope; order-insensitive
   consumers (``sorted``, ``min``/``max``/``sum``/``len``/``any``/``all``,
   ``set``/``frozenset``, membership tests, set comprehensions) are
-  exempt, and ``sorted(...)`` anywhere in the flow neutralises it.  The
-  attached fix wraps the consumed expression in ``sorted(...)``.
+  exempt, and ``sorted(...)`` anywhere in the flow neutralises it.
 * **RL602** — ``id`` used as a sort key (``key=id`` or a lambda calling
   ``id``): memory-address ordering differs run to run.
 * **RL603** — the simulated-time race: a module-level mutable container
@@ -33,7 +32,7 @@ import ast
 from types import SimpleNamespace
 
 from repro.analysis.base import LintPass, register
-from repro.analysis.findings import Rule, TextEdit
+from repro.analysis.findings import Rule
 from repro.analysis.passes.imports import ImportTracker
 
 __all__ = ["DataflowPass", "RL601", "RL602", "RL603"]
@@ -164,20 +163,6 @@ class DataflowPass(LintPass):
                     return f".{func.attr}() results"
         return None
 
-    def _sorted_fix(self, node: ast.expr) -> tuple[TextEdit, ...]:
-        segment = ast.get_source_segment(self.ctx.source, node)
-        if segment is None or getattr(node, "end_lineno", None) is None:
-            return ()
-        return (
-            TextEdit(
-                start_line=node.lineno,
-                start_col=node.col_offset,
-                end_line=node.end_lineno,
-                end_col=node.end_col_offset,
-                replacement=f"sorted({segment})",
-            ),
-        )
-
     def _check_consumption(self, node: ast.expr, where: str) -> None:
         desc = self._unordered(node)
         if desc is None:
@@ -187,7 +172,6 @@ class DataflowPass(LintPass):
             node,
             f"{where} over {desc} has nondeterministic order; "
             "wrap it in sorted(...)",
-            fixes=self._sorted_fix(node),
         )
 
     def visit_Assign(self, node: ast.Assign) -> None:

@@ -5,11 +5,6 @@ shared across calls — state leaks between invocations, which in this
 codebase means state leaks between *supposedly independent seeded
 runs*.  Flags list/dict/set displays and comprehensions, and calls to
 ``list``/``dict``/``set``/``bytearray`` in default position.
-
-The attached fix is the canonical mechanical repair: the default
-becomes ``None`` and a ``if param is None: param = <original>`` guard
-is inserted at the top of the body (after the docstring).  Lambdas and
-one-line bodies get no fix — there is nowhere safe to put the guard.
 """
 
 from __future__ import annotations
@@ -17,7 +12,7 @@ from __future__ import annotations
 import ast
 
 from repro.analysis.base import LintPass, register
-from repro.analysis.findings import Rule, TextEdit
+from repro.analysis.findings import Rule
 
 __all__ = ["MutableDefaultPass", "RL401"]
 
@@ -79,48 +74,4 @@ class MutableDefaultPass(LintPass):
             RL401,
             default,
             f"mutable default for parameter '{param}' of '{label}'",
-            fixes=self._fix(func, default, param),
-        )
-
-    def _fix(
-        self, func: ast.AST, default: ast.expr, param: str
-    ) -> tuple[TextEdit, ...]:
-        """``param=<mutable>`` -> ``param=None`` plus a body guard."""
-        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            return ()
-        body = [
-            stmt
-            for stmt in func.body
-            if not (
-                isinstance(stmt, ast.Expr)
-                and isinstance(stmt.value, ast.Constant)
-                and isinstance(stmt.value.value, str)
-            )
-        ]
-        if not body or body[0].lineno <= func.lineno:
-            return ()  # one-liner or docstring-only body: nowhere for a guard
-        segment = ast.get_source_segment(self.ctx.source, default)
-        if segment is None or getattr(default, "end_lineno", None) is None:
-            return ()
-        anchor = body[0]
-        indent = " " * anchor.col_offset
-        guard = (
-            f"{indent}if {param} is None:\n"
-            f"{indent}    {param} = {segment}\n"
-        )
-        return (
-            TextEdit(
-                start_line=default.lineno,
-                start_col=default.col_offset,
-                end_line=default.end_lineno,
-                end_col=default.end_col_offset,
-                replacement="None",
-            ),
-            TextEdit(
-                start_line=anchor.lineno,
-                start_col=0,
-                end_line=anchor.lineno,
-                end_col=0,
-                replacement=guard,
-            ),
         )

@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 
 from repro.analysis.base import LintPass, register
-from repro.analysis.findings import Rule, Severity, TextEdit
+from repro.analysis.findings import Rule, Severity
 
 __all__ = ["ExportsPass", "RL301", "RL302", "RL303"]
 
@@ -103,37 +103,28 @@ class ExportsPass(LintPass):
     rules = (RL301, RL302, RL303)
 
     def visit_Module(self, node: ast.Module) -> None:
-        found = self._find_all(node)
+        exported = self._find_all(node)
         public = _public_defs(node.body)
-        if found is None:
+        if exported is None:
             if public:
                 self.report(
                     RL303,
                     public[0],
                     f"module defines {len(public)} public name(s) but no __all__",
-                    fixes=self._insert_all_fix(node, public),
                 )
             return
-        value, exported = found
         defined = _top_level_names(node.body)
-        repair = self._repair_fix(value, exported, defined, public)
         seen: set[str] = set()
         for name_node in exported:
             name = name_node.value
             if name in seen:
-                self.report(
-                    RL301,
-                    name_node,
-                    f"duplicate __all__ entry '{name}'",
-                    fixes=repair,
-                )
+                self.report(RL301, name_node, f"duplicate __all__ entry '{name}'")
             seen.add(name)
             if name not in defined:
                 self.report(
                     RL301,
                     name_node,
                     f"__all__ lists '{name}', which is not defined in the module",
-                    fixes=repair,
                 )
         for stmt in public:
             if stmt.name not in seen:
@@ -142,79 +133,10 @@ class ExportsPass(LintPass):
                     stmt,
                     f"public {type(stmt).__name__.replace('Def', '').lower()} "
                     f"'{stmt.name}' is missing from __all__",
-                    fixes=repair,
                 )
 
-    @staticmethod
-    def _render_all(names: list[str], indent_col: int = 0) -> str:
-        """Canonical list display for a repaired ``__all__``."""
-        inner = ", ".join(f'"{name}"' for name in names)
-        single = f"[{inner}]"
-        if indent_col + len("__all__ = ") + len(single) <= 79:
-            return single
-        indent = " " * indent_col
-        rows = "".join(f'{indent}    "{name}",\n' for name in names)
-        return f"[\n{rows}{indent}]"
-
-    def _repair_fix(
-        self,
-        value: ast.List | ast.Tuple,
-        exported: list[ast.Constant],
-        defined: set[str],
-        public: list[ast.stmt],
-    ) -> tuple[TextEdit, ...]:
-        """One whole-list edit fixing stale, duplicate, and missing names."""
-        listed = {c.value for c in exported}
-        kept: list[str] = []
-        for constant in exported:
-            name = constant.value
-            if name in kept or name not in defined:
-                continue
-            kept.append(name)
-        names = kept + [s.name for s in public if s.name not in listed]
-        if getattr(value, "end_lineno", None) is None:
-            return ()
-        return (
-            TextEdit(
-                start_line=value.lineno,
-                start_col=value.col_offset,
-                end_line=value.end_lineno,
-                end_col=value.end_col_offset,
-                replacement=self._render_all(names, indent_col=0),
-            ),
-        )
-
-    def _insert_all_fix(
-        self, node: ast.Module, public: list[ast.stmt]
-    ) -> tuple[TextEdit, ...]:
-        """Insert a fresh ``__all__`` after the docstring/import block."""
-        anchor_line = 1
-        for stmt in node.body:
-            is_docstring = (
-                isinstance(stmt, ast.Expr)
-                and isinstance(stmt.value, ast.Constant)
-                and isinstance(stmt.value.value, str)
-            )
-            if is_docstring or isinstance(stmt, (ast.Import, ast.ImportFrom)):
-                anchor_line = (stmt.end_lineno or stmt.lineno) + 1
-                continue
-            break
-        names = [s.name for s in public]
-        text = f"\n__all__ = {self._render_all(names)}\n"
-        return (
-            TextEdit(
-                start_line=anchor_line,
-                start_col=0,
-                end_line=anchor_line,
-                end_col=0,
-                replacement=text,
-            ),
-        )
-
-    def _find_all(
-        self, node: ast.Module
-    ) -> tuple[ast.List | ast.Tuple, list[ast.Constant]] | None:
-        """The ``__all__`` value node and its string constants, or None.
+    def _find_all(self, node: ast.Module) -> list[ast.Constant] | None:
+        """The string constants of ``__all__``, or None.
 
         ``None`` also covers dynamic ``__all__`` (concatenation,
         comprehension): a lint pass should not evaluate code.
@@ -233,7 +155,7 @@ class ExportsPass(LintPass):
                 if not (isinstance(elt, ast.Constant) and isinstance(elt.value, str)):
                     return None
                 elements.append(elt)
-            return stmt.value, elements
+            return elements
         return None
     # visit_Module handles everything; no generic_visit needed (the pass
     # deliberately ignores nested scopes).

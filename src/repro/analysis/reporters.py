@@ -1,11 +1,10 @@
-"""Text, JSON, and SARIF reporters for lint results."""
+"""Text and JSON reporters for lint results."""
 
 from __future__ import annotations
 
 import json
 
 from repro.analysis.runner import LintResult
-from repro.analysis.sarif import render_sarif
 
 __all__ = ["render_text", "render_json", "REPORTERS"]
 
@@ -35,4 +34,4 @@ def render_json(result: LintResult) -> str:
     return json.dumps(payload, indent=2, sort_keys=True)
 
 
-REPORTERS = {"text": render_text, "json": render_json, "sarif": render_sarif}
+REPORTERS = {"text": render_text, "json": render_json}

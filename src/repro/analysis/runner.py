@@ -8,23 +8,13 @@ defined in files that happen to sort later.
 
 from __future__ import annotations
 
-import ast
-import hashlib
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.analysis.base import all_passes
-from repro.analysis.cache import LintCache
 from repro.analysis.config import LintConfig, match_path
-from repro.analysis.context import (
-    ModuleContext,
-    ProjectIndex,
-    _dotted_module,
-    parse_pragmas,
-)
+from repro.analysis.context import ModuleContext, ProjectIndex
 from repro.analysis.findings import Finding, Rule, Severity
-from repro.analysis.graph import ModuleShard, extract_shard
 
 __all__ = ["LintResult", "lint_paths", "lint_source", "collect_files", "RL000"]
 
@@ -74,127 +64,54 @@ def collect_files(
     return files
 
 
-def _context_from_source(path: Path, source: str) -> ModuleContext:
-    tree = ast.parse(source, filename=str(path))
-    return ModuleContext(
-        path=path,
-        source=source,
-        tree=tree,
-        module=_dotted_module(path),
-        pragmas=parse_pragmas(source),
+def _parse_error(path: Path, line: int, col: int, message: str) -> Finding:
+    return Finding(
+        path=str(path),
+        line=line,
+        col=col,
+        rule_id=RL000.id,
+        rule_name=RL000.name,
+        severity=Severity.ERROR,
+        message=message,
     )
 
 
 def lint_paths(
-    paths: list[Path | str],
-    config: LintConfig | None = None,
-    cache_dir: Path | str | None = None,
+    paths: list[Path | str], config: LintConfig | None = None
 ) -> LintResult:
-    """Lint ``paths`` (files or directories) and return sorted findings.
-
-    With ``cache_dir`` set, per-file shards and findings are reused from
-    (and written back to) the incremental cache in that directory; a
-    warm run over an unchanged tree parses nothing.  The cache never
-    changes results — see :mod:`repro.analysis.cache`.
-    """
+    """Lint ``paths`` (files or directories) and return sorted findings."""
     config = config or LintConfig()
-    cache = LintCache.load(cache_dir, config) if cache_dir is not None else None
     result = LintResult()
-    files = collect_files(paths, config)
     index = ProjectIndex()
-    contexts: dict[str, ModuleContext] = {}
-    raw_bytes: dict[str, bytes] = {}
-    digests: dict[str, str] = {}
-    shard_jsons: dict[str, dict] = {}
-    errored: dict[str, Finding] = {}
+    contexts: list[ModuleContext] = []
 
-    # Phase 1: fold every file's shard into the project index — from the
-    # cache when the content hash matches, from a fresh parse otherwise.
-    for path in files:
-        key = str(path)
+    # Phase 1: parse every file and fold its shard into the project index.
+    for path in collect_files(paths, config):
         try:
-            raw = path.read_bytes()
+            ctx = ModuleContext.from_source(path, path.read_bytes().decode("utf-8"))
         except OSError as exc:
-            errored[key] = Finding(
-                path=key,
-                line=1,
-                col=0,
-                rule_id=RL000.id,
-                rule_name=RL000.name,
-                severity=Severity.ERROR,
-                message=f"cannot read file: {exc}",
+            result.findings.append(
+                _parse_error(path, 1, 0, f"cannot read file: {exc}")
             )
             continue
-        digest = hashlib.sha256(raw).hexdigest()
-        digests[key] = digest
-        cached_shard = (
-            cache.shard_json(key, digest) if cache is not None else None
-        )
-        if cached_shard is not None:
-            index.add_shard(ModuleShard.from_json(cached_shard))
-            shard_jsons[key] = cached_shard
-            raw_bytes[key] = raw  # parsed lazily only on a findings miss
-            continue
-        try:
-            ctx = _context_from_source(path, raw.decode("utf-8"))
         except SyntaxError as exc:
-            errored[key] = Finding(
-                path=key,
-                line=exc.lineno or 1,
-                col=(exc.offset or 1) - 1,
-                rule_id=RL000.id,
-                rule_name=RL000.name,
-                severity=Severity.ERROR,
-                message=f"syntax error: {exc.msg}",
+            result.findings.append(
+                _parse_error(
+                    path,
+                    exc.lineno or 1,
+                    (exc.offset or 1) - 1,
+                    f"syntax error: {exc.msg}",
+                )
             )
-            del digests[key]
             continue
-        contexts[key] = ctx
-        shard = extract_shard(key, ctx.module, ctx.tree)
-        index.add_shard(shard)
-        if cache is not None:
-            shard_jsons[key] = shard.to_json()
+        index.add_module(ctx)
+        contexts.append(ctx)
 
-    # Cross-module rules may re-judge an unchanged file when any other
-    # file changes, so cached findings are keyed by a fingerprint over
-    # the whole shard set.
-    fingerprint = ""
-    if cache is not None:
-        canonical = json.dumps(
-            [shard_jsons[k] for k in sorted(shard_jsons)], sort_keys=True
-        )
-        fingerprint = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    # Phase 2: per-file findings — cached when file + project state match.
-    result.files_checked = len(digests)
-    for path in files:
-        key = str(path)
-        if key in errored:
-            result.findings.append(errored[key])
-            continue
-        if key not in digests:
-            continue
-        if cache is not None:
-            cached = cache.findings_for(key, digests[key], fingerprint)
-            if cached is not None:
-                result.findings.extend(cached)
-                continue
-        ctx = contexts.get(key)
-        if ctx is None:
-            # Shard came from cache but findings did not; the digest
-            # matched a previously-parsed state, so this parse succeeds.
-            ctx = _context_from_source(path, raw_bytes[key].decode("utf-8"))
-            contexts[key] = ctx
-        file_findings: list[Finding] = []
+    # Phase 2: judge each file against the complete index.
+    result.files_checked = len(contexts)
+    for ctx in contexts:
         for pass_cls in all_passes():
-            file_findings.extend(pass_cls(ctx, index, config).run())
-        result.findings.extend(file_findings)
-        if cache is not None:
-            cache.store_findings(key, digests[key], fingerprint, file_findings)
-    if cache is not None:
-        for key, shard_json in shard_jsons.items():
-            cache.store_shard(key, digests[key], shard_json)
-        cache.save()
+            result.findings.extend(pass_cls(ctx, index, config).run())
     result.findings.sort()
     return result
 
@@ -213,23 +130,10 @@ def lint_source(
     """
     config = config or LintConfig()
     index = ProjectIndex()
-    tree = ast.parse(source, filename=filename)
-    ctx = ModuleContext(
-        path=Path(filename),
-        source=source,
-        tree=tree,
-        module=_dotted_module(Path(filename)),
-        pragmas=parse_pragmas(source),
-    )
+    ctx = ModuleContext.from_source(Path(filename), source)
     index.add_module(ctx)
     for name, text in (extra_sources or {}).items():
-        extra = ModuleContext(
-            path=Path(name),
-            source=text,
-            tree=ast.parse(text, filename=name),
-            module=_dotted_module(Path(name)),
-        )
-        index.add_module(extra)
+        index.add_module(ModuleContext.from_source(Path(name), text))
     findings: list[Finding] = []
     for pass_cls in all_passes():
         findings.extend(pass_cls(ctx, index, config).run())

@@ -17,7 +17,8 @@ Everything is a pure function of :class:`~repro.fleet.config.FleetConfig`
 (including its seed): the end-of-run :class:`FleetSummary` is
 byte-identical across same-config runs, which is what the golden-trace
 and property suites lock.  Every run ends by checking that each flush
-and each flushed record is accounted for.
+and each flushed record is accounted for, and that each rollout walked
+the promotion lattice without skipping a stage.
 """
 
 from __future__ import annotations
@@ -38,8 +39,11 @@ from repro.fleet.dataplane import (
 )
 from repro.fleet.registry import TAG_STABLE, ModelRegistry
 from repro.fleet.rollout import (
+    OUTCOME_BOOTSTRAPPED,
     OUTCOME_PROMOTED,
     OUTCOME_ROLLED_BACK,
+    STAGE_CANARY,
+    STAGE_SHADOW,
     RolloutController,
     RolloutReport,
 )
@@ -50,6 +54,16 @@ from repro.obs.metrics import MetricsRegistry, SeriesHandle, ensure_registry
 from repro.obs.tracer import NullTracer, Tracer
 
 __all__ = ["RoundReport", "FleetSummary", "FleetLoop"]
+
+#: The four walks through the promotion lattice, and each one's outcome.
+_WALKS = {
+    ("candidate", "stable"): OUTCOME_BOOTSTRAPPED,
+    ("candidate", STAGE_SHADOW, STAGE_CANARY, "stable"): OUTCOME_PROMOTED,
+    ("candidate", STAGE_SHADOW, OUTCOME_ROLLED_BACK): OUTCOME_ROLLED_BACK,
+    ("candidate", STAGE_SHADOW, STAGE_CANARY, OUTCOME_ROLLED_BACK): (
+        OUTCOME_ROLLED_BACK
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -245,16 +259,19 @@ class FleetLoop:
 
 
 def _check_summary(config: FleetConfig, summary: FleetSummary) -> None:
-    """Every flush is accounted for, and no record is ingested twice.
+    """Every flush and record is accounted for, and no rollout skips a stage.
 
     Each round, every vehicle's every flush either stored a shard of
     ``records_per_flush`` records or failed.  Over the run, each flushed
     record is at most once ingested or dropped by cleaning, and exactly
-    once unless a round skipped an object or failed a read.  A violation
-    raises :class:`~repro.common.errors.FleetError`.
+    once unless a round skipped an object or failed a read.  Each
+    rollout passes :func:`_check_rollout`.  A violation raises
+    :class:`~repro.common.errors.FleetError`.
     """
     flushes = config.n_vehicles * config.flushes_per_round
     for report in summary.rounds:
+        if report.rollout is not None:
+            _check_rollout(report.round_no, report.rollout, report.stable_version)
         collect = report.collect
         if collect.flushed_shards + collect.failed_flushes != flushes:
             raise FleetError(
@@ -277,3 +294,33 @@ def _check_summary(config: FleetConfig, summary: FleetSummary) -> None:
             f"{accounted} records ingested or dropped of "
             f"{summary.records_flushed} flushed"
         )
+
+
+def _check_rollout(round_no: int, rollout: RolloutReport, stable: int) -> None:
+    """One round's rollout walked the promotion lattice in order.
+
+    Its history is one of the four :data:`_WALKS` and matches its
+    outcome; its stage reports name the history's middle steps; every
+    stage but the last passed, and the last passed exactly when the
+    round promoted; ``stable`` moved to the candidate exactly on a
+    promotion or bootstrap, and the round ended on ``new_stable``.
+    """
+    outcome = rollout.outcome
+    promoted = outcome == OUTCOME_PROMOTED
+    moved = promoted or outcome == OUTCOME_BOOTSTRAPPED
+    verdicts = [stage.decision.passed for stage in rollout.stages]
+    if _WALKS.get(rollout.history) != outcome:
+        problem = f"history {' -> '.join(rollout.history)} for outcome {outcome}"
+    elif tuple(stage.stage for stage in rollout.stages) != rollout.history[1:-1]:
+        problem = "stage reports do not follow the history"
+    elif verdicts and (not all(verdicts[:-1]) or verdicts[-1] != promoted):
+        problem = f"gate verdicts {verdicts} for outcome {outcome}"
+    elif rollout.new_stable != (
+        rollout.candidate_version if moved else rollout.prior_stable
+    ):
+        problem = f"new stable v{rollout.new_stable:03d} after {outcome}"
+    elif stable != rollout.new_stable:
+        problem = f"stable is v{stable:03d}, rollout says v{rollout.new_stable:03d}"
+    else:
+        return
+    raise FleetError(f"round {round_no}: {problem}")

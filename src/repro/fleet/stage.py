@@ -35,7 +35,13 @@ SHADOW_PREFIX = "shadow:"
 
 @dataclass(frozen=True)
 class VersionStats:
-    """Immutable snapshot of one model version's stage measurements."""
+    """Immutable snapshot of one model version's stage measurements.
+
+    ``offered`` is ``completed + losses``.  Every request the harness
+    forwards ends in exactly one response or loss before the service's
+    run returns (its conservation check raises otherwise), so each offer
+    counts once, under the version where its request ended.
+    """
 
     version: str
     offered: int
@@ -59,7 +65,6 @@ class _Accumulator:
     """Mutable per-version tallies behind :class:`VersionStats`."""
 
     def __init__(self) -> None:
-        self.offered = 0
         self.completed = 0
         self.deadline_met = 0
         self.losses = 0
@@ -85,10 +90,6 @@ class VersionScoreboard:
             acc = _Accumulator()
             self._acc[version] = acc
         return acc
-
-    def record_offered(self, version: str) -> None:
-        """A request was offered to ``version``."""
-        self._get(version).offered += 1
 
     def record_completion(
         self, version: str, request: Request, expert_angle: float
@@ -119,7 +120,7 @@ class VersionScoreboard:
         completed = acc.completed
         return VersionStats(
             version=version,
-            offered=acc.offered,
+            offered=completed + acc.losses,
             completed=completed,
             deadline_met=acc.deadline_met,
             losses=acc.losses,
@@ -139,9 +140,9 @@ class StageHarness(Workload):
     service: ``submit`` attaches a labelled eval-pool frame, remembers
     the expert angle by request id, optionally mirrors the request as a
     pinned shadow clone at ``shadow_version``, and forwards to the real
-    service.  Offers, responses and losses are scored on the scoreboard
-    by the request's version (:meth:`_version_for`); only primary
-    responses reach the inner closed loop.
+    service.  Responses and losses are scored on the scoreboard by the
+    request's version (:meth:`_version_for`); only primary responses
+    reach the inner closed loop.
     """
 
     provides_frames = True
@@ -184,7 +185,6 @@ class StageHarness(Workload):
         expert = float(self._experts[index])
         self._pending[request.request_id] = expert
         admitted = self._service.submit(request)
-        self.scoreboard.record_offered(self._version_for(request))
         if self.shadow_version:
             clone = Request(
                 request_id=f"shd-{request.request_id}",
@@ -198,7 +198,6 @@ class StageHarness(Workload):
             self._pending[clone.request_id] = expert
             self.shadows_sent += 1
             self._service.submit(clone)
-            self.scoreboard.record_offered(self._version_for(clone))
         return admitted
 
     # --------------------------------------------- workload interface

@@ -358,17 +358,12 @@ class DrivingSession:
     # ------------------------------------------------------------ step
 
     def step(self, steering: float, throttle: float) -> Observation:
-        """Apply one control command and advance ``dt`` seconds.
-
-        The observation's ``lap`` is the count from before this step, so
-        the step that completes a lap reports it one step late.
-        """
-        laps = len(self.fleet.lap_times[0])
+        """Apply one control command and advance ``dt`` seconds."""
         self.fleet.step(
             np.array([steering], dtype=np.float64),
             np.array([throttle], dtype=np.float64),
         )
-        return self._observe(laps)
+        return self._observe()
 
     def run(self, pilot, steps: int) -> LapStats:
         """Drive ``steps`` control intervals under ``pilot``.
@@ -393,7 +388,7 @@ class DrivingSession:
         """
         return self.fleet.pose_query()
 
-    def _observe(self, laps: int | None = None) -> Observation:
+    def _observe(self) -> Observation:
         query = self.pose_query()
         state = self.state
         if self.render_enabled:
@@ -408,7 +403,7 @@ class DrivingSession:
             time=self.fleet.time,
             cte=float(query.signed_cte[0]),
             arclength=float(query.arclength[0]),
-            lap=len(self.fleet.lap_times[0]) if laps is None else laps,
+            lap=len(self.fleet.lap_times[0]),
             off_track=not bool(query.on_track[0]),
             speed=state.speed,
         )

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ast
-import json
 
 from repro.analysis.graph import (
     CallRef,
@@ -77,24 +76,6 @@ def test_shard_records_scheduler_callbacks_and_lambdas():
     # The lambda body became a pseudo-function that calls tock.
     lambda_qual = next(q for q in shard.defs if "lambda" in q)
     assert CallRef("name", "tock") in shard.defs[lambda_qual].calls
-
-
-def test_shard_json_round_trip():
-    shard = _shard(
-        "repro.sim.demo",
-        "from repro.common.clock import EventScheduler\n"
-        "LOG = []\n"
-        "RNG = ensure_rng(0)\n"
-        "class A(ValueError):\n"
-        "    def m(self):\n"
-        "        self.helper()\n"
-        "def f(sched):\n"
-        "    sched.schedule_at(0.0, g)\n"
-        "def g():\n"
-        "    LOG.append(RNG.random())\n",
-    )
-    clone = ModuleShard.from_json(json.loads(json.dumps(shard.to_json())))
-    assert clone.to_json() == shard.to_json()
 
 
 # -------------------------------------------------------------- hierarchy

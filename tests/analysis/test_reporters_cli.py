@@ -101,38 +101,11 @@ def test_cli_json_format(tmp_path, capsys):
     out = capsys.readouterr().out
     payload = json.loads(out)
     assert payload["errors"] == 1
+    assert set(payload["findings"][0]) == {
+        "col", "line", "message", "name", "path", "rule", "severity",
+    }
     # Keys are emitted sorted so diffs of CI artifacts stay stable.
     assert out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def test_cli_sarif_format(tmp_path, capsys):
-    bad = _write(tmp_path, "bad.py", VIOLATION)
-    assert reprolint_main([str(bad), "--format", "sarif"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["version"] == "2.1.0"
-    assert payload["runs"][0]["results"][0]["ruleId"] == "RL001"
-
-
-def test_cli_fix_applies_and_is_idempotent(tmp_path, capsys):
-    bad = _write(tmp_path, "bad.py", "def f(xs=[]):\n    return xs\n")
-    reprolint_main([str(bad), "--fix"])
-    fixed = bad.read_text()
-    assert "xs=None" in fixed and "if xs is None:" in fixed
-    reprolint_main([str(bad), "--fix"])
-    assert bad.read_text() == fixed
-    capsys.readouterr()
-
-
-def test_cli_cache_flags(tmp_path, capsys):
-    bad = _write(tmp_path, "bad.py", VIOLATION)
-    cache_dir = tmp_path / "lint-cache"
-    assert reprolint_main([str(bad), "--cache-dir", str(cache_dir)]) == 1
-    assert cache_dir.exists()
-    assert reprolint_main([str(bad), "--cache-dir", str(cache_dir)]) == 1
-    assert reprolint_main(
-        [str(bad), "--cache-dir", str(cache_dir), "--no-cache"]
-    ) == 1
-    capsys.readouterr()
 
 
 def test_cli_list_rules(capsys):

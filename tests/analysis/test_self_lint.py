@@ -8,10 +8,9 @@ order-sensitive consumer, sorts by ``id()``, writes module state from
 concurrent simulated-time callbacks, or inverts the package layering
 fails here with the exact file and line.
 
-The tree must be clean under the **full v2 rule set with an empty
-baseline** — debt is fixed, not baselined.  The companion test drives
-every rule against a deliberately-broken fixture so the gate itself
-cannot silently rot.
+The tree must be clean under the full rule set: any finding fails the
+gate.  The companion test drives every rule against a deliberately-broken
+fixture so the gate itself cannot silently rot.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import textwrap
 from pathlib import Path
 
 from repro.analysis import LintConfig, all_rules, lint_paths, lint_source
-from repro.analysis.baseline import BASELINE_FILENAME, Baseline
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
@@ -117,13 +115,6 @@ def test_src_tree_is_clean():
     result = lint_paths([REPO_ROOT / "src" / "repro"], config)
     assert result.files_checked > 100
     assert result.findings == [], "\n".join(f.render() for f in result.findings)
-
-
-def test_checked_in_baseline_is_empty():
-    # The tree is clean outright; the baseline exists only so the
-    # workflow is exercised, and it must never accumulate debt.
-    baseline = Baseline.load(REPO_ROOT / BASELINE_FILENAME)
-    assert len(baseline) == 0
 
 
 def test_broken_fixture_triggers_every_rule():

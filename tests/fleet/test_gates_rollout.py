@@ -140,8 +140,6 @@ class TestGates:
 class TestScoreboard:
     def test_versions_sorted_and_stats(self):
         board = VersionScoreboard(cte_gain_m=0.5)
-        board.record_offered("v002")
-        board.record_offered("v001")
         request = Request(
             request_id="r1", source="veh-0000", arrival_s=0.0, deadline_s=1.0
         )
@@ -152,9 +150,12 @@ class TestScoreboard:
         assert board.versions() == ["v001", "v002"]
         one = board.stats("v001")
         assert one.completed == 1
+        assert one.offered == 1
         assert one.mean_cte_m == pytest.approx(0.5 * 0.2)
         assert board.stats("v002").losses == 1
+        assert board.stats("v002").offered == 1
         assert board.stats("ghost").completed == 0
+        assert board.stats("ghost").offered == 0
 
     def test_gain_must_be_positive(self):
         with pytest.raises(ConfigurationError):

@@ -27,6 +27,7 @@ from repro.fleet import (
 )
 from repro.fleet.dataplane import FleetDataPlane, IngestStage
 from repro.fleet.gates import GateThresholds
+from repro.fleet.rollout import RolloutController
 from repro.fleet.stage import StageHarness
 from repro.obs.metrics import MetricsRegistry
 
@@ -181,16 +182,17 @@ class TestStageAccounting:
             served = {stage.candidate.version, stage.baseline.version}
             # No offer lands on a version no replica of the stage serves.
             assert set(board.versions()) <= served, stage.stage
-            if stage.crashes:
-                # A rescued request is offered to one version and may be
-                # answered by another.
-                continue
             for version in served:
                 stats = board.stats(version)
                 assert stats.offered > 0, (stage.stage, version)
                 assert stats.offered == stats.completed + stats.losses, (
                     stage.stage, version,
                 )
+            # Every primary and shadow request is offered exactly once,
+            # rescued requests of the crash stage included.
+            assert sum(board.stats(v).offered for v in served) == (
+                harness.submitted + harness.shadows_sent
+            ), stage.stage
 
 
 class TestStoreFaults:
@@ -225,9 +227,19 @@ SKEWED_REPORTS = {
     ),
 }
 
+#: A promotion's report, bent so that it skips a lattice step.
+SKEWED_PROMOTIONS = {
+    "canary-skipped": lambda report: dataclasses.replace(
+        report, history=("candidate", "shadow", "stable")
+    ),
+    "stable-not-moved": lambda report: dataclasses.replace(
+        report, new_stable=report.prior_stable
+    ),
+}
+
 
 class TestPostConditions:
-    """Every flush and every flushed record is accounted for after a run."""
+    """Every flush and record is accounted for, and no rollout skips a stage."""
 
     @pytest.mark.parametrize("case", sorted(SKEWED_REPORTS))
     def test_skewed_report(self, monkeypatch, case):
@@ -249,3 +261,17 @@ class TestPostConditions:
             # A failed read is retried next round, so a record may be
             # missing from the run's ingest without a fault.
             assert len(run(rounds=1).rounds) == 1
+
+    @pytest.mark.parametrize("case", sorted(SKEWED_PROMOTIONS))
+    def test_promotion_lattice(self, monkeypatch, case):
+        real = RolloutController.run_round
+
+        def skewed(self, round_no):
+            report = real(self, round_no)
+            if report.outcome != OUTCOME_PROMOTED:
+                return report
+            return SKEWED_PROMOTIONS[case](report)
+
+        monkeypatch.setattr(RolloutController, "run_round", skewed)
+        with pytest.raises(FleetError, match="round 2"):
+            run(rounds=2)

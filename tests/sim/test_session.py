@@ -47,6 +47,7 @@ class TestLaps:
         for _ in range(700):
             s, t = driver(obs.image, obs.cte, obs.speed)
             obs = session.step(s, t)
+            assert obs.lap == session.stats.laps_completed
         assert session.stats.laps_completed >= 2
         assert len(session.stats.lap_times) == session.stats.laps_completed
         assert session.stats.mean_lap_time > 0
