@@ -30,8 +30,8 @@ RL603   sim-time-race       no module state written by concurrent callbacks
 
 The RL103/RL6xx rules are whole-program: every file is condensed into a
 :class:`~repro.analysis.graph.ModuleShard` and folded into a
-:class:`~repro.analysis.graph.ProjectGraph` (import graph, class
-hierarchy, best-effort call graph) that passes query through
+:class:`~repro.analysis.graph.ProjectGraph` (class hierarchy,
+best-effort call graph) that passes query through
 :class:`~repro.analysis.context.ProjectIndex`.
 
 Suppress a finding inline with ``# reprolint: disable=RL202`` (IDs or

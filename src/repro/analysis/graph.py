@@ -1,4 +1,4 @@
-"""Project-wide import graph, class hierarchy, and best-effort call graph.
+"""Project-wide class hierarchy and best-effort call graph.
 
 Single-file AST rules cannot see an unseeded RNG threaded through three
 modules or two scheduler callbacks mutating the same dict at the same
@@ -9,8 +9,8 @@ structure without evaluating any code:
   summary of its classes, imports, functions, call references,
   scheduler callbacks, and module-level mutable state;
 * :class:`ProjectGraph` folds shards into a class hierarchy
-  (:class:`ClassHierarchy`), an import graph, and a name-resolution
-  call graph, then answers flow queries: which functions are reachable
+  (:class:`ClassHierarchy`) and a name-resolution call graph, then
+  answers flow queries: which functions are reachable
   from which :class:`~repro.common.clock.EventScheduler` callbacks, which
   module globals are written from more than one callback (the
   simulated-time race), and which module-level RNG streams are shared
@@ -408,7 +408,7 @@ class FlowFinding:
 
 
 class ProjectGraph:
-    """Import graph + class hierarchy + call graph over module shards."""
+    """Class hierarchy + call graph over module shards."""
 
     def __init__(self) -> None:
         self.shards: dict[str, ModuleShard] = {}  # module -> shard
@@ -430,21 +430,6 @@ class ProjectGraph:
         self._roots = None
         self._reach.clear()
         self._flow = None
-
-    # -- import graph
-
-    def import_edges(self) -> dict[str, frozenset[str]]:
-        """module -> imported modules, restricted to modules in the project."""
-        known = set(self.shards)
-        out: dict[str, frozenset[str]] = {}
-        for module, shard in self.shards.items():
-            targets = set()
-            for imp in shard.imports:
-                for candidate in (imp, imp.rsplit(".", 1)[0]):
-                    if candidate in known and candidate != module:
-                        targets.add(candidate)
-            out[module] = frozenset(targets)
-        return out
 
     # -- call graph
 

@@ -288,13 +288,9 @@ class AutoLearnPipeline:
         history = trainer.fit(model, split)
         self.model = model
 
-        n_samples = (
-            len(split.y_train) if not isinstance(split.x_train, tuple)
-            else len(split.y_train)
-        )
         job = TrainingJob(
             flops_per_sample=estimate_flops_per_sample(model),
-            n_samples=n_samples,
+            n_samples=len(split.y_train),
             epochs=history.epochs,
         )
         details: dict[str, Any] = {

@@ -24,12 +24,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from repro.common.errors import ConfigurationError, SimulationError
 from repro.common.params import number_param
 from repro.common.rng import ensure_rng, seed_from_name
+from repro.eval.metrics import cte_stats
 from repro.eval.spec import resolve_params
 from repro.obs.metrics import MetricsRegistry, SeriesHandle
 from repro.obs.tracer import NullTracer, Tracer
@@ -155,6 +157,34 @@ class DriveArtifacts:
     detections: int = 0
     tracks_spawned: int = 0
 
+    @cached_property
+    def driving(self) -> dict:
+        """The run's driving figures: laps, lap times, crashes, speed, |cte|.
+
+        The summary text and the scorecard's ``driving`` group both read
+        them; computed once, after the run.
+        """
+        lap_stats = self.lap_stats
+        lap_times = [time for stats in lap_stats for time in stats.lap_times]
+        steps = sum(stats.steps for stats in lap_stats)
+        cte = cte_stats(self.cte_values)
+        return {
+            "vehicles": self.n_vehicles,
+            "ticks": self.ticks,
+            "laps": sum(stats.laps_completed for stats in lap_stats),
+            "mean_lap_s": sum(lap_times) / len(lap_times) if lap_times else 0.0,
+            "best_lap_s": min(lap_times) if lap_times else 0.0,
+            "crashes": sum(stats.crashes for stats in lap_stats),
+            "mean_speed_mps": (
+                sum(stats.speed_sum for stats in lap_stats) / steps
+                if steps
+                else 0.0
+            ),
+            "cte_mean_m": cte["mean_m"],
+            "cte_p95_m": cte["p95_m"],
+            "cte_max_m": cte["max_m"],
+        }
+
 
 def run_drive(
     name: str,
@@ -243,27 +273,17 @@ def run_drive(
     artifacts.detections = tracker.detections
     artifacts.tracks_spawned = tracker.spawned
     _check_drive(artifacts)
-    laps = sum(stats.laps_completed for stats in artifacts.lap_stats)
-    lap_times = [
-        time for stats in artifacts.lap_stats for time in stats.lap_times
-    ]
-    crashes = sum(stats.crashes for stats in artifacts.lap_stats)
-    steps = sum(stats.steps for stats in artifacts.lap_stats)
-    mean_speed = (
-        sum(stats.speed_sum for stats in artifacts.lap_stats) / steps
-        if steps
-        else 0.0
-    )
-    cte = np.abs(np.asarray(artifacts.cte_values, dtype=float))
-    mean_lap = sum(lap_times) / len(lap_times) if lap_times else 0.0
+    driving = artifacts.driving
     lines = [
         f"drive scenario {name!r} seed={seed}",
         f"  world     track={track_name} vehicles={n_vehicles} "
         f"ticks={ticks} dt={dt:.3f}s",
-        f"  driving   laps={laps} mean_lap={mean_lap:.3f}s crashes={crashes} "
-        f"mean_speed={mean_speed:.3f} m/s",
-        f"  quality   cte_mean={float(cte.mean()) if cte.size else 0.0:.4f}m "
-        f"cte_max={float(cte.max()) if cte.size else 0.0:.4f}m",
+        f"  driving   laps={driving['laps']} "
+        f"mean_lap={driving['mean_lap_s']:.3f}s "
+        f"crashes={driving['crashes']} "
+        f"mean_speed={driving['mean_speed_mps']:.3f} m/s",
+        f"  quality   cte_mean={driving['cte_mean_m']:.4f}m "
+        f"cte_max={driving['cte_max_m']:.4f}m",
         f"  tracking  detections={tracker.detections} "
         f"tracks={tracker.spawned}",
     ]

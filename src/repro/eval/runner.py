@@ -274,7 +274,7 @@ def _run_fleet(spec: ScenarioSpec, seed: int, instrument: bool) -> ScenarioRun:
         check_keys(entry, ("round", "faults"), entry_where)
         if set(entry) != {"round", "faults"}:
             raise ConfigurationError(f"{entry_where} needs both round and faults")
-        plans.append((int(entry["round"]), FaultPlan.from_dicts(entry["faults"])))
+        plans.append((entry["round"], FaultPlan.from_dicts(entry["faults"])))
     params["canary_fault_plans"] = tuple(plans)
     if params.get("store_fault_plan") is not None:
         params["store_fault_plan"] = FaultPlan.from_dicts(params["store_fault_plan"])

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Any
 
 from repro.common.errors import ConfigurationError
-from repro.eval.metrics import cte_stats
 from repro.eval.mot import evaluate_tracking
 from repro.eval.runner import ScenarioRun
 from repro.eval.spec import canonical_json
@@ -189,33 +188,9 @@ class Evaluator:
         }
 
     def _drive_groups(self, artifacts) -> dict[str, dict]:
-        lap_times = [
-            time
-            for stats in artifacts.lap_stats
-            for time in stats.lap_times
-        ]
-        steps = sum(stats.steps for stats in artifacts.lap_stats)
-        speed_sum = sum(stats.speed_sum for stats in artifacts.lap_stats)
-        cte = cte_stats(artifacts.cte_values)
         mot = evaluate_tracking(
             artifacts.gt_frames,
             artifacts.tracked_frames,
             match_radius_m=artifacts.match_radius_m,
         )
-        return {
-            "driving": {
-                "vehicles": artifacts.n_vehicles,
-                "ticks": artifacts.ticks,
-                "laps": sum(s.laps_completed for s in artifacts.lap_stats),
-                "mean_lap_s": (
-                    sum(lap_times) / len(lap_times) if lap_times else 0.0
-                ),
-                "best_lap_s": min(lap_times) if lap_times else 0.0,
-                "crashes": sum(s.crashes for s in artifacts.lap_stats),
-                "mean_speed_mps": speed_sum / steps if steps else 0.0,
-                "cte_mean_m": cte["mean_m"],
-                "cte_p95_m": cte["p95_m"],
-                "cte_max_m": cte["max_m"],
-            },
-            "mot": mot.to_dict(),
-        }
+        return {"driving": artifacts.driving, "mot": mot.to_dict()}

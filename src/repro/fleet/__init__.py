@@ -45,7 +45,7 @@ from repro.fleet.rollout import (
     StageReport,
 )
 from repro.fleet.shards import decode_shard, encode_shard, shard_records
-from repro.fleet.stage import StageHarness, VersionScoreboard, VersionStats
+from repro.fleet.stage import StageHarness, VersionStats
 from repro.fleet.trainer import IncrementalTrainer, TrainReport
 from repro.fleet.world import SyntheticTrackWorld
 
@@ -77,7 +77,6 @@ __all__ = [
     "encode_shard",
     "shard_records",
     "StageHarness",
-    "VersionScoreboard",
     "VersionStats",
     "IncrementalTrainer",
     "TrainReport",

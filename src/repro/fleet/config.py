@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.common.errors import ConfigurationError
-from repro.common.params import check_numbers, frame_hw_param
+from repro.common.params import check_numbers, frame_hw_param, number_param
 from repro.common.rng import DEFAULT_SEED
 from repro.faults.plan import FaultPlan
 from repro.fleet.gates import GateThresholds
@@ -59,7 +59,9 @@ class FleetConfig:
     field is refused at construction unless finite, ``>= 0`` and, for a
     count, whole (:func:`~repro.common.params.check_numbers`), as is a
     ``frame_hw`` that is not two whole numbers ``>= 5``
-    (:func:`~repro.common.params.frame_hw_param`, the world's own check).
+    (:func:`~repro.common.params.frame_hw_param`, the world's own check)
+    and a poison or canary round that is not a whole number in
+    ``1..rounds``.
     """
 
     # ------------------------------------------------------- data plane
@@ -114,17 +116,26 @@ class FleetConfig:
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ConfigurationError(f"{name} must be in (0, 1), got {value}")
-        for round_no in self.poison_rounds:
-            if not 1 <= round_no <= self.rounds:
-                raise ConfigurationError(
-                    f"poison_rounds holds {round_no}, outside 1..{self.rounds}"
-                )
-        for round_no, _plan in self.canary_fault_plans:
-            if not 1 <= round_no <= self.rounds:
-                raise ConfigurationError(
-                    f"canary_fault_plans holds round {round_no}, "
-                    f"outside 1..{self.rounds}"
-                )
+        poison = tuple(
+            self._round(round_no, f"poison_rounds[{index}]")
+            for index, round_no in enumerate(self.poison_rounds)
+        )
+        plans = tuple(
+            (self._round(round_no, f"canary_fault_plans[{index}].round"), plan)
+            for index, (round_no, plan) in enumerate(self.canary_fault_plans)
+        )
+        object.__setattr__(self, "poison_rounds", poison)
+        object.__setattr__(self, "canary_fault_plans", plans)
+
+    def _round(self, value, name: str) -> int:
+        """``value`` as a round number, refused unless whole and in
+        ``1..rounds``."""
+        round_no = number_param(value, name, whole=True, positive=True)
+        if round_no > self.rounds:
+            raise ConfigurationError(
+                f"{name} must be in 1..{self.rounds}, got {round_no}"
+            )
+        return round_no
 
     def canary_plan_for(self, round_no: int) -> FaultPlan | None:
         """The stage-relative canary fault plan for ``round_no``."""

@@ -1,13 +1,14 @@
 """Promotion gates: the quality bar a rollout stage must clear.
 
-A gate turns one stage's measured serving behaviour (SLO window + the
-per-version driving-quality scoreboard) into a deterministic pass/fail
-verdict with explicit reasons.  Thresholds combine classic serving SLOs
-(tail latency, deadline attainment) with the driving metrics the paper
-cares about: cross-track error (how far off the racing line the model's
-steering would put the car) and the stale-command ratio of the closed
-vehicle loop.  Every bound fails closed: a measurement passes only when
-it is ``<=`` its bound, so a NaN measurement fails.
+A gate turns one stage's measured serving behaviour (the per-version
+series the stage records, read back as :class:`VersionStats`) into a
+deterministic pass/fail verdict with explicit reasons.  Thresholds
+combine classic serving SLOs (tail latency, deadline attainment) with
+the driving metrics the paper cares about: cross-track error (how far
+off the racing line the model's steering would put the car) and the
+stale-command ratio of the closed vehicle loop.  Every bound fails
+closed: a measurement passes only when it is ``<=`` its bound, so a NaN
+measurement fails.
 """
 
 from __future__ import annotations

@@ -38,7 +38,7 @@ from repro.fleet.registry import (
     TAG_STABLE,
     ModelRegistry,
 )
-from repro.fleet.stage import StageHarness, VersionScoreboard, VersionStats
+from repro.fleet.stage import StageHarness, VersionStats, version_stats
 from repro.fleet.world import SyntheticTrackWorld
 from repro.obs.metrics import MetricsRegistry, SeriesHandle, ensure_registry
 from repro.obs.tracer import NullTracer, Tracer
@@ -251,15 +251,14 @@ class RolloutController:
             # Per-batch serve spans are deliberately not traced here: the
             # fleet golden locks loop-level structure (rounds, stages,
             # gates); serve-span detail is covered by the serve goldens.
-            # A child view: the stage's summary, conservation check and
-            # crash count read only its own records, and the run's serve
-            # series still get every record.
+            # A child view: the stage's summary, conservation check,
+            # crash count and per-version stats read only its own
+            # records, and the run's series still get every record.
             metrics=self.metrics.child(),
         )
         candidate_model = self.registry.load(candidate)
         for _ in range(config.canary_replicas):
             service.add_replica(model=candidate_model, model_version=cand_label)
-        scoreboard = VersionScoreboard(cte_gain_m=config.cte_gain_m)
         harness = StageHarness(
             inner=VehicleFleetWorkload(
                 n_vehicles=config.stage_vehicles,
@@ -269,15 +268,18 @@ class RolloutController:
             ),
             frames=self._frames,
             expert_angles=self._experts,
-            scoreboard=scoreboard,
             shadow_version=shadow_version,
         )
         with self.tracer.span(
             "fleet.stage", stage=stage, round=round_no, candidate=cand_label
         ):
             service.run(harness, config.stage_duration_s)
-        candidate_stats = scoreboard.stats(cand_label)
-        baseline_stats = scoreboard.stats(stable_label)
+        candidate_stats = version_stats(
+            service.metrics, cand_label, config.cte_gain_m
+        )
+        baseline_stats = version_stats(
+            service.metrics, stable_label, config.cte_gain_m
+        )
         decision = evaluate_gate(
             stage,
             candidate_stats,

@@ -2,18 +2,16 @@
 
 A rollout stage runs the closed vehicle loop against a mixed fleet
 (stable + candidate replicas) and must attribute every completion to
-the *model version* that served it.  Two pieces do that:
-
-* :class:`VersionScoreboard` — streaming per-version accounting of
-  completions, deadline attainment, latency, and the cross-track-error
-  proxy (|predicted angle − expert angle| × a metres-per-unit gain).
-* :class:`StageHarness` — a :class:`~repro.serve.workload.Workload`
-  facade wrapped around a :class:`~repro.serve.workload.VehicleFleetWorkload`.
-  It poses as the service to the inner workload, attaches *labelled*
-  frames from the world's eval pool to every request (so steering error
-  is measurable), optionally tees a pinned shadow clone of each request
-  at the candidate version, and keeps shadow responses out of the inner
-  closed loop so shadow traffic never perturbs vehicle behaviour.
+the *model version* that served it.  :class:`StageHarness` is a
+:class:`~repro.serve.workload.Workload` facade wrapped around a
+:class:`~repro.serve.workload.VehicleFleetWorkload`.  It poses as the
+service to the inner workload, attaches *labelled* frames from the
+world's eval pool to every request (so steering error is measurable),
+optionally tees a pinned shadow clone of each request at the candidate
+version, keeps shadow responses out of the inner closed loop, and
+records each response and loss in ``version=``-labelled series of the
+service's registry, from which :func:`version_stats` reads what the
+gates judge.
 """
 
 from __future__ import annotations
@@ -23,14 +21,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.common.errors import ConfigurationError
-from repro.obs.metrics import StreamingHistogram
+from repro.obs.metrics import MetricsRegistry
 from repro.serve.request import Request
 from repro.serve.workload import VehicleFleetWorkload, Workload
 
-__all__ = ["VersionStats", "VersionScoreboard", "StageHarness", "SHADOW_PREFIX"]
+__all__ = ["VersionStats", "version_stats", "StageHarness", "SHADOW_PREFIX"]
 
 #: Source prefix marking mirrored (non-closed-loop) shadow requests.
 SHADOW_PREFIX = "shadow:"
+
+#: The series a stage records, labelled ``version=``.  The latency
+#: histogram's count is the version's completions; the steering error is
+#: |predicted angle − expert angle|.
+LATENCY = "fleet.stage.latency_s"
+DEADLINE_MET = "fleet.stage.deadline_met"
+LOSSES = "fleet.stage.losses"
+STEERING_ERROR_SUM = "fleet.stage.steering_error_sum"
+STEERING_ERROR_MAX = "fleet.stage.steering_error_max"
 
 
 @dataclass(frozen=True)
@@ -61,76 +68,33 @@ class VersionStats:
         return 1.0 - self.deadline_met / self.completed
 
 
-class _Accumulator:
-    """Mutable per-version tallies behind :class:`VersionStats`."""
+def version_stats(
+    metrics: MetricsRegistry, version: str, cte_gain_m: float
+) -> VersionStats:
+    """One version's stats, read from its series in ``metrics``.
 
-    def __init__(self) -> None:
-        self.completed = 0
-        self.deadline_met = 0
-        self.losses = 0
-        self.err_sum = 0.0
-        self.err_max = 0.0
-        self.histogram = StreamingHistogram()
-
-
-class VersionScoreboard:
-    """Streaming per-model-version serving + driving-quality stats."""
-
-    def __init__(self, cte_gain_m: float = 0.6) -> None:
-        if cte_gain_m <= 0:
-            raise ConfigurationError(
-                f"cte_gain_m must be positive, got {cte_gain_m}"
-            )
-        self.cte_gain_m = float(cte_gain_m)
-        self._acc: dict[str, _Accumulator] = {}
-
-    def _get(self, version: str) -> _Accumulator:
-        acc = self._acc.get(version)
-        if acc is None:
-            acc = _Accumulator()
-            self._acc[version] = acc
-        return acc
-
-    def record_completion(
-        self, version: str, request: Request, expert_angle: float
-    ) -> None:
-        """Score one completed request against the expert label."""
-        acc = self._get(version)
-        acc.completed += 1
-        if request.met_deadline:
-            acc.deadline_met += 1
-        acc.histogram.record(max(request.latency_s, 0.0))
-        err = abs(request.angle - expert_angle)
-        acc.err_sum += err
-        acc.err_max = max(acc.err_max, err)
-
-    def record_loss(self, version: str) -> None:
-        """A request attributed to ``version`` was lost."""
-        self._get(version).losses += 1
-
-    def versions(self) -> list[str]:
-        """Version labels seen so far, sorted."""
-        return sorted(self._acc)
-
-    def stats(self, version: str) -> VersionStats:
-        """Snapshot one version's stats (zeros if never seen)."""
-        acc = self._acc.get(version)
-        if acc is None:
-            acc = _Accumulator()
-        completed = acc.completed
-        return VersionStats(
-            version=version,
-            offered=completed + acc.losses,
-            completed=completed,
-            deadline_met=acc.deadline_met,
-            losses=acc.losses,
-            p95_ms=acc.histogram.percentile(0.95) * 1e3,
-            mean_ms=acc.histogram.mean_s * 1e3,
-            mean_cte_m=(
-                self.cte_gain_m * acc.err_sum / completed if completed else 0.0
-            ),
-            max_cte_m=self.cte_gain_m * acc.err_max,
-        )
+    A version with no records reads zeros.  The cross-track-error proxy
+    is the steering error times ``cte_gain_m`` metres per unit; a NaN
+    error keeps the mean NaN, so the version fails its cte gate.
+    """
+    latency = metrics.find(LATENCY, version=version)
+    completed = latency.hist.count if latency is not None else 0
+    losses = metrics.count(LOSSES, version=version)
+    error_sum = metrics.find(STEERING_ERROR_SUM, version=version)
+    error_max = metrics.find(STEERING_ERROR_MAX, version=version)
+    return VersionStats(
+        version=version,
+        offered=completed + losses,
+        completed=completed,
+        deadline_met=metrics.count(DEADLINE_MET, version=version),
+        losses=losses,
+        p95_ms=latency.hist.percentile(0.95) * 1e3 if completed else 0.0,
+        mean_ms=latency.hist.mean_s * 1e3 if completed else 0.0,
+        mean_cte_m=(
+            cte_gain_m * error_sum.value / completed if completed else 0.0
+        ),
+        max_cte_m=cte_gain_m * error_max.value if completed else 0.0,
+    )
 
 
 class StageHarness(Workload):
@@ -140,9 +104,9 @@ class StageHarness(Workload):
     service: ``submit`` attaches a labelled eval-pool frame, remembers
     the expert angle by request id, optionally mirrors the request as a
     pinned shadow clone at ``shadow_version``, and forwards to the real
-    service.  Responses and losses are scored on the scoreboard by the
-    request's version (:meth:`_version_for`); only primary responses
-    reach the inner closed loop.
+    service.  Responses and losses are recorded in the service's
+    registry under the request's version (:meth:`_version_for`); only
+    primary responses reach the inner closed loop.
     """
 
     provides_frames = True
@@ -152,7 +116,6 @@ class StageHarness(Workload):
         inner: VehicleFleetWorkload,
         frames: np.ndarray,
         expert_angles: np.ndarray,
-        scoreboard: VersionScoreboard,
         shadow_version: str = "",
     ) -> None:
         if len(frames) == 0 or len(frames) != len(expert_angles):
@@ -162,7 +125,6 @@ class StageHarness(Workload):
         self._inner = inner
         self._frames = frames
         self._experts = expert_angles
-        self.scoreboard = scoreboard
         self.shadow_version = shadow_version
         self.shadows_sent = 0
         self._service = None
@@ -214,8 +176,7 @@ class StageHarness(Workload):
     @property
     def stale_ratio(self) -> float:
         """Stale ticks over total ticks of the inner closed loop."""
-        ticks = self._inner.ticks
-        return self._inner.stale_ticks / ticks if ticks else 0.0
+        return self._inner.stale_ratio
 
     def start(self, service, until_s: float) -> None:
         self._service = service
@@ -234,14 +195,27 @@ class StageHarness(Workload):
     def on_response(self, request: Request) -> None:
         expert = self._pending.pop(request.request_id, None)
         if expert is not None:
-            self.scoreboard.record_completion(
-                self._version_for(request), request, expert
+            version = self._version_for(request)
+            metrics = self._service.metrics
+            metrics.histogram(LATENCY, version=version).observe(
+                max(request.latency_s, 0.0)
             )
+            metrics.counter(DEADLINE_MET, version=version).inc(
+                request.met_deadline
+            )
+            error = abs(request.angle - expert)
+            metrics.counter(STEERING_ERROR_SUM, version=version).inc(error)
+            # A NaN error leaves the peak as it was but makes the sum NaN,
+            # so the version's mean fails its cte gate.
+            peak = metrics.gauge(STEERING_ERROR_MAX, version=version)
+            peak.set(max(peak.value, error))
         if not request.source.startswith(SHADOW_PREFIX):
             self._inner.on_response(request)
 
     def on_loss(self, request: Request) -> None:
         self._pending.pop(request.request_id, None)
-        self.scoreboard.record_loss(self._version_for(request))
+        self._service.metrics.counter(
+            LOSSES, version=self._version_for(request)
+        ).inc()
         if not request.source.startswith(SHADOW_PREFIX):
             self._inner.on_loss(request)

@@ -109,15 +109,6 @@ def test_builtin_exception_lookup():
 # ------------------------------------------------------------- the graph
 
 
-def test_import_edges_restricted_to_project():
-    graph = _graph(**{
-        "repro.common.rng": "def ensure_rng(seed):\n    pass\n",
-        "repro.sim.world": "import os\nfrom repro.common.rng import ensure_rng\n",
-    })
-    edges = graph.import_edges()
-    assert edges["repro.sim.world"] == frozenset({"repro.common.rng"})
-
-
 def test_call_graph_resolves_across_modules():
     graph = _graph(**{
         "repro.sim.engine": (

@@ -6,15 +6,16 @@ Two promises are pinned here:
   allowed to import only ``common``.  The linter judges every other
   package, so it must depend on none of them; a cycle between the judge
   and the judged would make the self-lint meaningless.  Checked both
-  declaratively (the DAG entry) and empirically (the import graph of
-  the real ``src/repro/analysis`` tree, via the linter's own
-  :class:`~repro.analysis.graph.ProjectGraph`).
+  declaratively (the DAG entry) and empirically (the imports of the
+  real ``src/repro/analysis`` tree, read from the linter's own
+  :class:`~repro.analysis.graph.ModuleShard` of each file).
 * **Exit codes** — ``0`` clean, ``1`` findings, ``2`` usage/config
   error.  CI scripts branch on these; they are API.
 """
 
 from __future__ import annotations
 
+import ast
 from pathlib import Path
 
 from repro.analysis.cli import main as reprolint_main
@@ -132,6 +133,29 @@ def test_only_artifacts_imports_the_event_log():
     assert all(module.startswith("repro.artifacts.") for module in importers), (
         importers
     )
+
+
+def test_only_obs_builds_a_streaming_histogram():
+    """Every percentile comes from a registry series: outside
+    ``repro.obs`` no module calls
+    :class:`~repro.obs.metrics.StreamingHistogram`, so no component keeps
+    a private histogram beside the run's ``MetricsRegistry``."""
+    src_root = REPO_ROOT / "src"
+    calls = []
+    for path in collect_files([src_root / "repro"]):
+        context = ModuleContext.from_path(path)
+        if context.module.startswith("repro.obs"):
+            continue
+        for node in ast.walk(context.tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(
+                func, "attr", ""
+            )
+            if name == "StreamingHistogram":
+                calls.append(f"{path.relative_to(src_root)}:{node.lineno}")
+    assert not calls, calls
 
 
 def test_eval_tree_imports_stay_in_its_layer():

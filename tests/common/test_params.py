@@ -7,6 +7,7 @@ import pytest
 
 from repro.common.errors import ConfigurationError
 from repro.fleet import FleetConfig, GateThresholds
+from repro.fleet.config import _POSITIVE
 from repro.serve.autoscale import AutoscalePolicy
 
 #: (config, field, whether it is a count) for every number field, so a
@@ -29,6 +30,12 @@ def test_built_directly_refuses_a_bad_number(config, name, count):
     for value in bad:
         with pytest.raises(ConfigurationError, match=rf"^{name} must be"):
             config(**{name: value})
+
+
+@pytest.mark.parametrize("name", _POSITIVE)
+def test_fleet_config_refuses_zero_where_positive(name):
+    with pytest.raises(ConfigurationError, match=rf"^{name} must be > 0"):
+        FleetConfig(**{name: 0})
 
 
 def test_the_checked_number_is_stored():

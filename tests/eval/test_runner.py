@@ -120,6 +120,35 @@ def test_bad_fleet_number_names_the_param(key, value):
         run_scenario(spec)
 
 
+#: Round numbers a fleet spec must refuse: a fraction, text, a bool, NaN
+#: and infinity, each in a canary fault plan's round and in
+#: ``poison_rounds``.
+BAD_ROUNDS = [
+    ("canary_fault_plans", 2.5),
+    ("canary_fault_plans", "3"),
+    ("canary_fault_plans", True),
+    ("canary_fault_plans", float("nan")),
+    ("canary_fault_plans", float("inf")),
+    ("poison_rounds", 2.5),
+    ("poison_rounds", True),
+    ("poison_rounds", "2"),
+]
+
+
+@pytest.mark.parametrize(("key", "value"), BAD_ROUNDS)
+def test_bad_fleet_round_names_the_param(key, value):
+    spec = scenario_spec("fleet-canary-chaos")
+    if key == "poison_rounds":
+        rounds = [value]
+    else:
+        rounds = [{**spec.params["canary_fault_plans"][0], "round": value}]
+    with pytest.raises(
+        ConfigurationError,
+        match=rf"'fleet-canary-chaos' params\.{key}\[0\]",
+    ):
+        run_scenario(spec.with_overrides({key: rounds}))
+
+
 #: Serve and pipeline numbers the params table refuses: a fraction where
 #: the default is a count, NaN, or no number at all.
 BAD_TABLE_VALUES = [

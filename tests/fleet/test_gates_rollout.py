@@ -1,5 +1,6 @@
-"""Promotion gates, the per-version scoreboard, and rollout edges."""
+"""Promotion gates, the per-version stage series, and rollout edges."""
 
+import numpy as np
 import pytest
 
 from repro.common.clock import EventScheduler
@@ -9,9 +10,11 @@ from repro.fleet.config import FleetConfig
 from repro.fleet.gates import GateThresholds, evaluate_gate
 from repro.fleet.registry import TAG_STABLE
 from repro.fleet.rollout import OUTCOME_BOOTSTRAPPED, RolloutController
-from repro.fleet.stage import VersionScoreboard, VersionStats
+from repro.fleet.stage import StageHarness, VersionStats, version_stats
 from repro.fleet.world import SyntheticTrackWorld
+from repro.obs.metrics import MetricsRegistry
 from repro.serve.request import Request
+from repro.serve.workload import VehicleFleetWorkload
 
 from tests.fleet.test_registry import make_model, make_registry
 
@@ -137,29 +140,60 @@ class TestGates:
             GateThresholds(**{field: value})
 
 
-class TestScoreboard:
+def stage_versions(metrics):
+    """The ``version=`` labels of a registry's ``fleet.stage.*`` series."""
+    return sorted({
+        key.split("{version=")[1].rstrip("}")
+        for series in metrics.snapshot().values()
+        for key in series
+        if key.startswith("fleet.stage.")
+    })
+
+
+class StubService:
+    """What a harness reads of its service: scheduler, registry, submit."""
+
+    def __init__(self):
+        self.scheduler = EventScheduler()
+        self.metrics = MetricsRegistry()
+
+    def submit(self, request):
+        return True
+
+
+class TestVersionSeries:
     def test_versions_sorted_and_stats(self):
-        board = VersionScoreboard(cte_gain_m=0.5)
-        request = Request(
-            request_id="r1", source="veh-0000", arrival_s=0.0, deadline_s=1.0
+        service = StubService()
+        harness = StageHarness(
+            inner=VehicleFleetWorkload(n_vehicles=1, dt=0.05, seed=0),
+            frames=np.zeros((1, 4, 4, 3), dtype=np.uint8),
+            expert_angles=np.array([0.1]),
         )
-        request.completed_s = 0.01
-        request.angle = 0.3
-        board.record_completion("v001", request, expert_angle=0.1)
-        board.record_loss("v002")
-        assert board.versions() == ["v001", "v002"]
-        one = board.stats("v001")
+        harness.start(service, until_s=0.0)
+        served = Request(
+            request_id="r1", source="veh-0000", arrival_s=0.0, deadline_s=1.0,
+            pin_version="v001",
+        )
+        lost = Request(
+            request_id="r2", source="veh-0000", arrival_s=0.0, deadline_s=1.0,
+            pin_version="v002",
+        )
+        harness.submit(served)
+        harness.submit(lost)
+        served.completed_s = 0.01
+        served.angle = 0.3
+        harness.on_response(served)
+        harness.on_loss(lost)
+        metrics = service.metrics
+        assert stage_versions(metrics) == ["v001", "v002"]
+        one = version_stats(metrics, "v001", cte_gain_m=0.5)
         assert one.completed == 1
         assert one.offered == 1
         assert one.mean_cte_m == pytest.approx(0.5 * 0.2)
-        assert board.stats("v002").losses == 1
-        assert board.stats("v002").offered == 1
-        assert board.stats("ghost").completed == 0
-        assert board.stats("ghost").offered == 0
-
-    def test_gain_must_be_positive(self):
-        with pytest.raises(ConfigurationError):
-            VersionScoreboard(cte_gain_m=0.0)
+        assert version_stats(metrics, "v002", 0.5).losses == 1
+        assert version_stats(metrics, "v002", 0.5).offered == 1
+        assert version_stats(metrics, "ghost", 0.5).completed == 0
+        assert version_stats(metrics, "ghost", 0.5).offered == 0
 
 
 class TestRolloutEdges:

@@ -14,6 +14,7 @@ Three behaviours are pinned, each byte-identical per seed:
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from repro.common.errors import FleetError
@@ -27,9 +28,12 @@ from repro.fleet import (
 )
 from repro.fleet.dataplane import FleetDataPlane, IngestStage
 from repro.fleet.gates import GateThresholds
+from repro.fleet.registry import ModelRegistry
 from repro.fleet.rollout import RolloutController
-from repro.fleet.stage import StageHarness
+from repro.fleet.stage import StageHarness, version_stats
 from repro.obs.metrics import MetricsRegistry
+
+from tests.fleet.test_gates_rollout import stage_versions
 
 # Small but real: 4 vehicles x 2 flushes x 12 records per round, three
 # rollout stages of 0.6 simulated seconds each.
@@ -124,6 +128,27 @@ class TestDegradedCandidateRollback:
         ]
         assert any("cte" in reason for reason in reasons)
 
+    def test_nan_steering_candidate_rolls_back(self, monkeypatch):
+        """A candidate that answers NaN angles fails its cte gate."""
+        load = ModelRegistry.load
+
+        def load_nan_candidate(registry, number):
+            model = load(registry, number)
+            if number == 2:
+                predict = model.predict_frames
+                model.predict_frames = lambda frames: np.full_like(
+                    predict(frames), np.nan
+                )
+            return model
+
+        monkeypatch.setattr(ModelRegistry, "load", load_nan_candidate)
+        summary = run()
+        second = summary.rounds[1]
+        assert second.rollout.outcome == OUTCOME_ROLLED_BACK
+        assert second.stable_version == 1
+        reasons = second.rollout.stages[-1].decision.reasons
+        assert any(reason.startswith("cte nanm > ") for reason in reasons)
+
     def test_rollback_is_byte_identical(self):
         a = run(poison_rounds=(3,))
         b = run(poison_rounds=(3,))
@@ -165,11 +190,12 @@ class TestStageAccounting:
         start = StageHarness.start
 
         def start_recorded(harness, service, until_s):
-            harnesses.append(harness)
+            harnesses.append((harness, service.metrics))
             start(harness, service, until_s)
 
         monkeypatch.setattr(StageHarness, "start", start_recorded)
         summary = run(canary_fault_plans=((3, CANARY_CRASH),))
+        gain = FleetConfig().cte_gain_m
         stages = [
             stage
             for report in summary.rounds[1:]
@@ -177,22 +203,21 @@ class TestStageAccounting:
         ]
         assert [stage.crashes for stage in stages] == [0, 0, 0, 1]
         assert len(harnesses) == len(stages)
-        for stage, harness in zip(stages, harnesses):
-            board = harness.scoreboard
+        for stage, (harness, metrics) in zip(stages, harnesses):
             served = {stage.candidate.version, stage.baseline.version}
             # No offer lands on a version no replica of the stage serves.
-            assert set(board.versions()) <= served, stage.stage
+            assert set(stage_versions(metrics)) <= served, stage.stage
             for version in served:
-                stats = board.stats(version)
+                stats = version_stats(metrics, version, gain)
                 assert stats.offered > 0, (stage.stage, version)
                 assert stats.offered == stats.completed + stats.losses, (
                     stage.stage, version,
                 )
             # Every primary and shadow request is offered exactly once,
             # rescued requests of the crash stage included.
-            assert sum(board.stats(v).offered for v in served) == (
-                harness.submitted + harness.shadows_sent
-            ), stage.stage
+            assert sum(
+                version_stats(metrics, v, gain).offered for v in served
+            ) == harness.submitted + harness.shadows_sent, stage.stage
 
 
 class TestStoreFaults:

@@ -5,7 +5,9 @@ outcome into one counter series; the SLO tracker and the service read
 their figures back from those series instead of keeping tallies of
 their own.  A fleet run serves each rollout stage from its own service,
 so each one records through a child view of the run's registry: it
-reads only its own records, while the run's series get them all.
+reads only its own records, while the run's series get them all.  A
+stage also scores each response and loss under its model version, in
+``fleet.stage.*`` series of that same view.
 """
 
 import pytest
@@ -90,3 +92,64 @@ def test_stage_counts_sum_to_the_run_series(fleet_stages):
     assert sum(
         service.slo.histogram.count for service in services
     ) == snapshot["histograms"]["serve.request.latency_s"]["count"]
+
+
+def _per_version(snapshot, section, name, field=None):
+    """Sum of one stage series over its ``version=`` labels."""
+    return sum(
+        value if field is None else value[field]
+        for key, value in snapshot[section].items()
+        if key.startswith(f"{name}{{version=")
+    )
+
+
+def test_each_stage_scores_every_request_under_a_version(fleet_stages):
+    _run, services = fleet_stages
+    for service in services:
+        metrics = service.metrics
+        snapshot = metrics.snapshot()
+        completions = _per_version(
+            snapshot, "histograms", "fleet.stage.latency_s", "count"
+        )
+        losses = _per_version(snapshot, "counters", "fleet.stage.losses")
+        assert completions == metrics.count("serve.requests", outcome="completed")
+        assert completions == snapshot["histograms"]["serve.request.latency_s"][
+            "count"
+        ]
+        assert losses == sum(
+            metrics.count("serve.requests", outcome=outcome)
+            for outcome in ("drop", "shed", "reject", "expire")
+        )
+        assert completions + losses == metrics.count(
+            "serve.requests", outcome="offered"
+        ) > 0
+
+
+def test_stage_version_series_sum_to_the_run_series(fleet_stages):
+    run, services = fleet_stages
+    snapshot = run.metrics.snapshot()
+    stages = [service.metrics.snapshot() for service in services]
+    counters = [key for key in snapshot["counters"] if key.startswith("fleet.stage.")]
+    histograms = [
+        key for key in snapshot["histograms"] if key.startswith("fleet.stage.")
+    ]
+    assert counters and histograms
+    for key in counters:
+        total = sum(stage["counters"].get(key, 0.0) for stage in stages)
+        if key.startswith("fleet.stage.steering_error_sum"):
+            # Summed in another order than the run's series: equal to rounding.
+            assert snapshot["counters"][key] == pytest.approx(total), key
+        else:
+            assert snapshot["counters"][key] == total, key
+    for key in histograms:
+        assert snapshot["histograms"][key]["count"] == sum(
+            stage["histograms"][key]["count"]
+            for stage in stages
+            if key in stage["histograms"]
+        ), key
+    # Every stage series reaches the run registry.
+    for stage in stages:
+        for section in ("counters", "gauges", "histograms"):
+            assert {
+                key for key in stage[section] if key.startswith("fleet.stage.")
+            } <= set(snapshot[section]), section
