@@ -123,7 +123,8 @@ class ProjectIndex:
 
     Thin façade over :class:`repro.analysis.graph.ProjectGraph`: each
     linted file is condensed into a :class:`~repro.analysis.graph.ModuleShard`
-    and folded into the project-wide class hierarchy and call graph.  The class-hierarchy helpers RL203 relies on
+    and folded into the project-wide class hierarchy and call graph.
+    The class-hierarchy helpers RL203 relies on
     (:meth:`is_defined`, :meth:`is_repro_error`) delegate to the single
     :class:`~repro.analysis.graph.ClassHierarchy` so the resolution
     logic exists exactly once.

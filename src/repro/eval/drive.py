@@ -172,7 +172,9 @@ class DriveArtifacts:
             "vehicles": self.n_vehicles,
             "ticks": self.ticks,
             "laps": sum(stats.laps_completed for stats in lap_stats),
-            "mean_lap_s": sum(lap_times) / len(lap_times) if lap_times else 0.0,
+            "mean_lap_s": (
+                sum(lap_times) / len(lap_times) if lap_times else 0.0
+            ),
             "best_lap_s": min(lap_times) if lap_times else 0.0,
             "crashes": sum(stats.crashes for stats in lap_stats),
             "mean_speed_mps": (

@@ -112,10 +112,10 @@ def test_each_stage_scores_every_request_under_a_version(fleet_stages):
             snapshot, "histograms", "fleet.stage.latency_s", "count"
         )
         losses = _per_version(snapshot, "counters", "fleet.stage.losses")
-        assert completions == metrics.count("serve.requests", outcome="completed")
-        assert completions == snapshot["histograms"]["serve.request.latency_s"][
-            "count"
-        ]
+        latency = snapshot["histograms"]["serve.request.latency_s"]
+        assert completions == latency["count"] == metrics.count(
+            "serve.requests", outcome="completed"
+        )
         assert losses == sum(
             metrics.count("serve.requests", outcome=outcome)
             for outcome in ("drop", "shed", "reject", "expire")
@@ -129,10 +129,10 @@ def test_stage_version_series_sum_to_the_run_series(fleet_stages):
     run, services = fleet_stages
     snapshot = run.metrics.snapshot()
     stages = [service.metrics.snapshot() for service in services]
-    counters = [key for key in snapshot["counters"] if key.startswith("fleet.stage.")]
-    histograms = [
-        key for key in snapshot["histograms"] if key.startswith("fleet.stage.")
-    ]
+    counters, histograms = (
+        [key for key in snapshot[section] if key.startswith("fleet.stage.")]
+        for section in ("counters", "histograms")
+    )
     assert counters and histograms
     for key in counters:
         total = sum(stage["counters"].get(key, 0.0) for stage in stages)
